@@ -19,8 +19,7 @@ from .oracle import (RatioReport, exact_max_matching, exact_min_cover,
 from .schedule import (AliasTable, Schedule, alias_for_schedule, bucket_distribution,
                        build_alias, compute_b, make_schedule, probabilities,
                        probability, sample_alias, schedule_for_frequency,
-                       schedule_for_max_size, schedule_length_inner,
-                       schedule_length_outer)
+                       schedule_for_max_size, schedule_length_outer)
 from .ssp import (AdaptiveKillOnNearMiss, Adversary, DeleteSampledNeighbors,
                   HalveEachStep, Identity, SspConfig, SspTrace,
                   builtin_adversaries, check_step_lemmas,

@@ -194,7 +194,7 @@ def cmd_mpc(args) -> int:
             plan = plan_phases(delta, args.f, args.eps, args.n)
             cumulative = 0
             for idx, phase in enumerate(plan.phases):
-                cumulative += max(0, (phase.length - 1).bit_length()) + 2
+                cumulative += phase.rounds
                 rows.append({
                     "delta_exp": exp, "delta": delta, "k": plan.k,
                     "phase_index": idx, "case": phase.case_tag,

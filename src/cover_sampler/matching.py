@@ -5,7 +5,9 @@ distribution (an edge is sampled at most once, so the upfront draw preserves
 the step-by-step law exactly).  Sweeping steps from the top, still-intact
 edges sampled at a step are collected and their endpoints removed; edges
 adjacent to another collected edge are dropped at the end.  Conflicts between
-collected edges can only arise within a single step, which is asserted.
+collected edges can only arise within a single step: an edge is tested against
+the deaths of earlier steps only, because a step's deaths are recorded after
+all its edges are tested.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def hypergraph_matching(hg: Hypergraph, eps: float,
         step_groups[int(x)].append(e)
 
     vertex_dead = np.zeros(hg.num_vertices, dtype=bool)
-    collected: list[tuple[int, int]] = []  # (edge id, step)
+    collected: list[int] = []
     for i in sorted(step_groups, reverse=True):
         counters.steps_executed += 1
         batch = []
@@ -56,23 +58,13 @@ def hypergraph_matching(hg: Hypergraph, eps: float,
             if not any(vertex_dead[v] for v in hg.edges[e]):
                 batch.append(e)
         for e in batch:
-            collected.append((e, i))
+            collected.append(e)
             for v in hg.edges[e]:
                 counters.element_touches += 1
                 vertex_dead[v] = True
 
-    vertex_use = Counter(v for e, _ in collected for v in hg.edges[e])
-    kept = []
-    step_of = dict(collected)
-    for e, _ in collected:
-        if all(vertex_use[v] == 1 for v in hg.edges[e]):
-            kept.append(e)
-    # collected edges sharing a vertex must come from the same step: endpoints
-    # of earlier collected edges are gone before later steps sample
-    for v, uses in vertex_use.items():
-        if uses > 1:
-            steps = {step_of[e] for e, _ in collected if v in hg.edges[e]}
-            assert len(steps) == 1, "cross-step conflict in collected edges"
+    vertex_use = Counter(v for e in collected for v in hg.edges[e])
+    kept = [e for e in collected if all(vertex_use[v] == 1 for v in hg.edges[e])]
     return Matching(tuple(sorted(kept))), counters
 
 

@@ -48,11 +48,16 @@ class PlannedPhase:
     case_tag: int
     tau: float
 
+    @property
+    def rounds(self) -> int:
+        """Simulated communication rounds: ceil(log2 length) + 2."""
+        return (self.length - 1).bit_length() + 2
+
 
 @dataclass(frozen=True)
 class PhasePlan:
-    """Partition of the schedule steps k..0 into phases; a phase of length r
-    costs ceil(log2 r) + 2 simulated communication rounds."""
+    """Partition of the schedule steps k..0 into phases, each costing its
+    `PlannedPhase.rounds`."""
 
     phases: tuple[PlannedPhase, ...]
     k: int
@@ -85,7 +90,6 @@ def plan_phases(delta: int, freq: int, eps: float, n: int,
         else:
             break
     phases: list[PlannedPhase] = []
-    rounds = 0
     i = sched.k
     while i >= 0:
         tau = config.tau_constant * ln_n / p[i]
@@ -101,9 +105,9 @@ def plan_phases(delta: int, freq: int, eps: float, n: int,
             r = min(r, i - gate_step)
         r = max(1, min(r, i + 1, cap))
         phases.append(PlannedPhase(start_step=i, length=r, case_tag=case, tau=tau))
-        rounds += max(0, math.ceil(math.log2(r))) + 2
         i -= r
-    return PhasePlan(phases=tuple(phases), k=sched.k, predicted_mpc_rounds=rounds)
+    return PhasePlan(phases=tuple(phases), k=sched.k,
+                     predicted_mpc_rounds=sum(ph.rounds for ph in phases))
 
 
 @dataclass
@@ -219,7 +223,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
                 state.sweep_step(group)
         live_mask = ~state.set_chosen
         residual_after = int(state.residual[live_mask].max()) if live_mask.any() else 0
-        rounds += max(0, math.ceil(math.log2(phase.length))) + 2
+        rounds += phase.rounds
         report.phases.append(PhaseRecord(
             index=idx, case_tag=phase.case_tag, start_step=i_hi, end_step=i_lo,
             length=phase.length, p_start=float(p[i_hi]), p_end=float(p[i_lo]),

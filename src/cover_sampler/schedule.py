@@ -71,17 +71,13 @@ def schedule_length_outer(delta: int, eps: float) -> int:
     return b * guarded_ceil(math.log(delta / eps) / math.log1p(eps))
 
 
-def schedule_length_inner(freq: int, eps: float) -> int:
-    """Same arithmetic with the element frequency in place of the set size."""
-    return schedule_length_outer(freq, eps)
-
-
 def schedule_for_max_size(delta: int, eps: float) -> Schedule:
     return make_schedule(eps, schedule_length_outer(delta, eps))
 
 
 def schedule_for_frequency(freq: int, eps: float) -> Schedule:
-    return make_schedule(eps, schedule_length_inner(freq, eps))
+    """Same arithmetic with the element frequency in place of the set size."""
+    return make_schedule(eps, schedule_length_outer(freq, eps))
 
 
 def bucket_distribution(sched: Schedule) -> np.ndarray:

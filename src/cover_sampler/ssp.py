@@ -8,10 +8,10 @@ probability.  The process stops at the first step whose sample is nonempty;
 sample size there.
 
 `run_ssp` executes one run faithfully on item ids.  The estimators handle
-large trial counts by drawing (z, r_z) from the process's stopping
-distribution directly whenever the adversary's size trajectory is
-deterministic, and by vectorized stepping otherwise; tests cross-validate
-both against `run_ssp`.
+large trial counts by drawing (z, r_z) from the process's exact stopping
+law, built from the adversary's size-only view (`Adversary.stopping_law`);
+custom adversaries without one fall back to `run_ssp`, one run per trial.
+Tests cross-validate the closed form against `run_ssp` and exact values.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ class Adversary(ABC):
     ``shrink`` receives the step about to be sampled, the current pool as an
     id set, and the history of earlier (empty) samples; it must return a
     subset.  ``keep`` names an item the adversary must not delete.  Built-ins
-    also expose a size-only view used by the batch estimators.
+    also expose a size-only view, `stopping_law`, used by the batch estimators.
     """
 
     name = "adversary"
-    deterministic_sizes = False
 
     @abstractmethod
     def shrink(self, sched: Schedule, step: int, alive: set[int],
@@ -54,21 +53,24 @@ class Adversary(ABC):
         """Pool size at each step 0..k when the trajectory is deterministic."""
         return None
 
-    def batch_update(self, sched: Schedule, step: int, sizes: np.ndarray,
-                     protect: bool, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized size transition for one shrink, one entry per trial."""
-        raise NotImplementedError
-
-    def floor_size(self, protect: bool) -> int:
-        """Absorbing minimum pool size (sizes at the floor never change)."""
-        return 1 if protect else 0
+    def stopping_law(self, sched: Schedule, initial_size: int,
+                     protect: bool) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per step i = 0..k, the count c_i of unprotected items and the
+        hazard h_i of each: the chance it is sampled at step i given that no
+        sample landed above i.  Items must be independent given that event.
+        The protected item is left out; it is never deleted, so its hazard
+        is p_i.  None when the adversary has no size-only view.
+        """
+        seq = self.size_sequence(sched, initial_size, protect)
+        if seq is None:
+            return None
+        return np.asarray(seq, dtype=np.int64) - int(protect), probabilities(sched)
 
 
 class Identity(Adversary):
     """Never deletes anything."""
 
     name = "identity"
-    deterministic_sizes = True
 
     def shrink(self, sched, step, alive, history, rng, keep=None):
         return set(alive)
@@ -92,7 +94,6 @@ class HalveEachStep(Adversary):
     """Deletes half the pool (lowest ids survive) every step."""
 
     name = "halve"
-    deterministic_sizes = True
 
     def _next(self, n: int, protect: bool) -> int:
         t = n // 2
@@ -127,10 +128,19 @@ class DeleteSampledNeighbors(Adversary):
                 out.add(t)
         return out
 
-    def batch_update(self, sched, step, sizes, protect, rng):
-        if protect:
-            return 1 + rng.binomial(np.maximum(sizes - 1, 0), 1.0 - self.rate)
-        return rng.binomial(sizes, 1.0 - self.rate)
+    def stopping_law(self, sched, initial_size, protect):
+        # Deletions are oblivious and independent per item, so given no
+        # sample above step i each item is alive there with the same chance
+        # rho_i, independently of the others.
+        p = probabilities(sched).tolist()
+        hazard = np.empty(sched.k + 1)
+        rho = 1.0
+        for i in range(sched.k, -1, -1):
+            hazard[i] = rho * p[i]
+            if i:
+                rho *= (1.0 - p[i]) * (1.0 - self.rate) / (1.0 - hazard[i])
+        counts = np.full(sched.k + 1, initial_size - int(protect), dtype=np.int64)
+        return counts, hazard
 
 
 class AdaptiveKillOnNearMiss(Adversary):
@@ -140,7 +150,6 @@ class AdaptiveKillOnNearMiss(Adversary):
     but is always empty before the stop step)."""
 
     name = "near-miss"
-    deterministic_sizes = True
 
     def __init__(self, keep_fraction: float = 0.1, trigger: float | None = None):
         if not (0.0 < keep_fraction < 1.0):
@@ -281,102 +290,73 @@ def _conditional_binomial(n: np.ndarray, p: np.ndarray,
     return out
 
 
-def _zr_from_sizes(sizes: np.ndarray, p: np.ndarray, trials: int,
-                   rng: np.random.Generator):
-    """Draw (z, |R_z|, pool size at z) for a fixed size trajectory.
+def _zr_from_law(counts: np.ndarray, hazards: np.ndarray,
+                 marked_p: np.ndarray | None, trials: int,
+                 rng: np.random.Generator):
+    """Draw |R_z| and whether the protected item is in R_z from a stopping law.
 
-    P(z = i) = (1 - (1-p_i)^{n_i}) * prod_{j>i} (1-p_j)^{n_j}; given z = i the
-    sample size is Binomial(n_i, p_i) conditioned on >= 1.  This is the exact
-    stopping distribution of the process, not an approximation.
+    Given no sample above step i, each of the ``counts[i]`` unprotected items
+    is sampled at step i independently with chance ``hazards[i]``, and the
+    protected item, when ``marked_p`` is given, with chance ``marked_p[i]``.
+    With e_i the chance that step i samples nothing,
+    P(z = i) = (1 - e_i) * prod_{j>i} e_j.  Given z = i the protected item is
+    sampled with chance marked_p[i] / (1 - e_i); the unprotected count is
+    Binomial(c_i, h_i), conditioned on >= 1 when the protected item is not
+    sampled.  This is the exact stopping distribution, not an approximation.
     """
-    kk = len(sizes) - 1
+    kk = len(counts) - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_empty = np.where(sizes > 0, sizes * np.log1p(-p), 0.0)
+        log_rest = np.where(counts > 0, counts * np.log1p(-hazards), 0.0)
+        log_empty = log_rest if marked_p is None else log_rest + np.log1p(-marked_p)
         # survival strictly above step i
         suffix = np.concatenate([np.cumsum(log_empty[::-1])[::-1], [0.0]])
-        stop_p = np.exp(suffix[1:]) * (-np.expm1(log_empty))
+        stop_here = -np.expm1(log_empty)
+        stop_p = np.exp(suffix[1:]) * stop_here
     outcome_p = np.concatenate([stop_p[::-1], [float(np.exp(suffix[0]))]])
     cdf = np.cumsum(outcome_p)
     u = rng.random(trials) * cdf[-1]
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), kk + 1)
     z = np.where(idx <= kk, kk - idx, -1).astype(np.int64)
     r = np.zeros(trials, dtype=np.int64)
-    n_at = np.zeros(trials, dtype=np.int64)
+    marked = np.zeros(trials, dtype=bool)
     hit = np.flatnonzero(z >= 0)
-    if hit.size:
+    if marked_p is not None:
         zi = z[hit]
-        n_at[hit] = sizes[zi]
-        r[hit] = _conditional_binomial(sizes[zi], p[zi], rng)
-    return z, r, n_at
-
-
-def _zr_stepping(adv: Adversary, sched: Schedule, initial_size: int,
-                 trials: int, rng: np.random.Generator, protect: bool):
-    """Vectorized per-step simulation for adversaries with random size
-    trajectories.  Once every live trial reaches the adversary's absorbing
-    floor the remaining steps collapse to a fixed-size tail draw."""
-    p = probabilities(sched)
-    floor = adv.floor_size(protect)
-    z = np.full(trials, -1, dtype=np.int64)
-    r = np.zeros(trials, dtype=np.int64)
-    n_at = np.zeros(trials, dtype=np.int64)
-    active = np.arange(trials)
-    sizes = np.full(trials, initial_size, dtype=np.int64)
-    for i in range(sched.k, -1, -1):
-        if active.size == 0:
-            break
-        if i < sched.k:
-            sizes = adv.batch_update(sched, i, sizes, protect, rng)
-        if np.all(sizes <= floor):
-            if floor > 0:
-                zz, rr, nn = _zr_from_sizes(np.full(i + 1, floor, dtype=np.int64),
-                                            p[:i + 1], active.size, rng)
-                z[active] = zz
-                r[active] = rr
-                n_at[active] = nn
-            break
-        cnt = rng.binomial(sizes, p[i])
-        hit = cnt > 0
-        if hit.any():
-            idx = active[hit]
-            z[idx] = i
-            r[idx] = cnt[hit]
-            n_at[idx] = sizes[hit]
-            active = active[~hit]
-            sizes = sizes[~hit]
-    return z, r, n_at
+        # where no unprotected item can be sampled the protected one stops
+        # the process; the guard keeps rounding from drawing an empty rest
+        share = np.where(log_rest[zi] < 0, marked_p[zi] / stop_here[zi], 1.0)
+        marked[hit] = rng.random(hit.size) < share
+        both = hit[marked[hit]]
+        r[both] = 1 + rng.binomial(counts[z[both]], hazards[z[both]])
+        hit = hit[~marked[hit]]
+    r[hit] = _conditional_binomial(counts[z[hit]], hazards[z[hit]], rng)
+    return r, marked
 
 
 def _zr_via_runs(config: SspConfig, sched: Schedule, trials: int, protect: bool):
     """Fallback for custom adversaries without a size-only view."""
     marked = 0 if protect else None
-    z = np.empty(trials, dtype=np.int64)
     r = np.empty(trials, dtype=np.int64)
-    n_at = np.empty(trials, dtype=np.int64)
+    contains = np.zeros(trials, dtype=bool)
     for t in range(trials):
         cfg = SspConfig(initial_size=config.initial_size, eps=config.eps,
                         adversary=config.adversary, k=sched.k,
                         seed=int(derive_rng(config.seed, 3, t).integers(2**63)),
                         marked=marked)
         trace = run_ssp(cfg)
-        z[t] = trace.z
         r[t] = trace.r_z
-        n_at[t] = trace.steps[-1][1] if trace.z >= 0 else 0
-    return z, r, n_at
+        contains[t] = trace.contains_marked
+    return r, contains
 
 
 def _batch_zr(config: SspConfig, sched: Schedule, trials: int,
               rng: np.random.Generator, protect: bool):
-    adv = config.adversary
-    if adv.deterministic_sizes:
-        seq = adv.size_sequence(sched, config.initial_size, protect)
-        if seq is not None:
-            return _zr_from_sizes(np.asarray(seq, dtype=np.int64),
-                                  probabilities(sched), trials, rng)
-    try:
-        return _zr_stepping(adv, sched, config.initial_size, trials, rng, protect)
-    except NotImplementedError:
+    law = config.adversary.stopping_law(sched, config.initial_size, protect)
+    if law is None:
         return _zr_via_runs(config, sched, trials, protect)
+    counts, hazards = law
+    marked_p = probabilities(sched) if protect else None
+    return _zr_from_law(counts, hazards, marked_p, trials, rng)
 
 
 def estimate_expected_rz(config: SspConfig, trials: int) -> tuple[float, float]:
@@ -386,7 +366,7 @@ def estimate_expected_rz(config: SspConfig, trials: int) -> tuple[float, float]:
         raise InsufficientTrials(f"need at least {MIN_TRIALS} trials, got {trials}")
     sched = _resolve_schedule(config)
     rng = derive_rng(config.seed, 1)
-    _, r, _ = _batch_zr(config, sched, trials, rng, protect=False)
+    r, _ = _batch_zr(config, sched, trials, rng, protect=False)
     return mean_ci95(r)
 
 
@@ -395,8 +375,7 @@ def estimate_conditional_multiplicity(config: SspConfig, marked: int,
     """Rejection estimate of P(|R_z| > 1 given the marked item is in R_z).
 
     The adversary is run in protected mode so the marked item survives to the
-    sampling; by exchangeability the marked item lies in a sample of size r
-    drawn from a pool of size n with probability r/n.
+    sampling; the trials in which it is sampled at the stop step are accepted.
     """
     if trials < MIN_TRIALS:
         raise InsufficientTrials(f"need at least {MIN_TRIALS} trials, got {trials}")
@@ -404,9 +383,7 @@ def estimate_conditional_multiplicity(config: SspConfig, marked: int,
         raise InvalidConfig("marked item id outside the initial pool")
     sched = _resolve_schedule(config)
     rng = derive_rng(config.seed, 2)
-    z, r, n_at = _batch_zr(config, sched, trials, rng, protect=True)
-    u = rng.random(trials)
-    accepted = (z >= 0) & (u * n_at < r)
+    r, accepted = _batch_zr(config, sched, trials, rng, protect=True)
     total = int(accepted.sum())
     if total == 0:
         raise InsufficientSamples("no trial had the marked item sampled")

@@ -23,6 +23,8 @@ def test_plan_lengths_partition_schedule():
         assert sum(p.length for p in plan.phases) == plan.k + 1
         cap = math.ceil(math.log2(2 ** 20))
         assert all(1 <= p.length <= cap for p in plan.phases)
+        assert plan.predicted_mpc_rounds == sum(
+            math.ceil(math.log2(p.length)) + 2 for p in plan.phases)
 
 
 def test_plan_small_delta_has_no_compression():

@@ -9,8 +9,8 @@ from scipy import stats
 
 from cover_sampler import (InvalidEpsilon, bucket_distribution, build_alias,
                            compute_b, make_schedule, probabilities, probability,
-                           sample_alias, schedule_for_max_size,
-                           schedule_length_inner, schedule_length_outer)
+                           sample_alias, schedule_for_frequency,
+                           schedule_for_max_size, schedule_length_outer)
 from cover_sampler.schedule import alias_for_schedule
 from cover_sampler.util import derive_rng
 
@@ -47,14 +47,15 @@ def test_probabilities_vector_matches_scalar():
         assert vec[i] == pytest.approx(probability(i, sched))
 
 
-@pytest.mark.parametrize("delta,eps,expected", [(1, 0.5, 6), (8, 0.5, 21)])
+@pytest.mark.parametrize("delta,eps,expected", [(1, 0.5, 6), (8, 0.5, 21),
+                                                (2, 0.5, 12)])
 def test_outer_length_values(delta, eps, expected):
     assert schedule_length_outer(delta, eps) == expected
 
 
 @pytest.mark.parametrize("freq,eps,expected", [(1, 0.5, 6), (2, 0.5, 12)])
 def test_inner_length_values(freq, eps, expected):
-    assert schedule_length_inner(freq, eps) == expected
+    assert schedule_for_frequency(freq, eps).k == expected
 
 
 @pytest.mark.parametrize("eps", GRID_EPS)

@@ -2,16 +2,26 @@
 correctness (including cross-validation of the batch engine against the
 step-faithful runner), and the deterministic step-level checks."""
 
+import numpy as np
 import pytest
 
 from cover_sampler import (AdaptiveKillOnNearMiss, Adversary,
-                           DeleteSampledNeighbors, HalveEachStep,
+                           DeleteSampledNeighbors, HalveEachStep, Identity,
                            InsufficientSamples, InsufficientTrials,
                            InvalidConfig, SspConfig, builtin_adversaries,
                            check_step_lemmas, estimate_conditional_multiplicity,
                            estimate_expected_rz, make_schedule, minimum_steps,
                            run_ssp)
-from cover_sampler.util import mean_ci95
+from cover_sampler.schedule import probabilities
+from cover_sampler.util import mean_ci95, proportion_ci95
+
+# Adversaries with an independent per-item deletion rate, for the exact
+# values; at a slow rate most items survive to the steps where the hazard's
+# conditioning on no earlier sample matters
+EXACT_CASES = pytest.mark.parametrize(
+    "adv,rate", [(Identity(), 0.0), (DeleteSampledNeighbors(0.5), 0.5),
+                 (DeleteSampledNeighbors(0.05), 0.05)],
+    ids=["identity", "delete-sampled", "delete-sampled-slow"])
 
 
 class KillEverythingEarly(Adversary):
@@ -78,6 +88,18 @@ def test_expected_rz_single_item_exact():
     assert ci == 0.0
 
 
+@pytest.mark.parametrize("name,expected", [
+    ("identity", (1.139, 0.010522207584715716)),
+    ("halve", (0.3912, 0.015227871393825382)),
+    ("near-miss", (1.1252, 0.009961199145205223)),
+])
+def test_expected_rz_seeded_values_pinned(name, expected):
+    # seeded estimates for size-trajectory adversaries are fixed bit for bit
+    cfg = SspConfig(initial_size=40, eps=0.25,
+                    adversary=builtin_adversaries()[name], seed=11)
+    assert estimate_expected_rz(cfg, 5000) == expected
+
+
 def test_expected_rz_identity_within_bound():
     cfg = SspConfig(initial_size=100, eps=0.1, seed=2)
     mean, ci = estimate_expected_rz(cfg, 100_000)
@@ -127,7 +149,7 @@ def test_near_miss_sequence_shrinks_after_trigger():
 
 @pytest.mark.parametrize("name", sorted(builtin_adversaries()))
 def test_batch_engine_matches_direct_runs(name):
-    """The vectorized estimators draw from the same law as the faithful
+    """The closed-form estimators draw from the same law as the faithful
     step-by-step runner."""
     adv = builtin_adversaries()[name]
     direct = [run_ssp(SspConfig(initial_size=12, eps=0.5, adversary=adv,
@@ -139,28 +161,72 @@ def test_batch_engine_matches_direct_runs(name):
     assert abs(m_direct - m_batch) <= 3.0 * (ci_direct + ci_batch)
 
 
-def test_batch_engine_matches_exact_value():
-    # Identity, n=12, eps=0.25: conditional multiplicity has a closed form
-    eps, n = 0.25, 12
-    from cover_sampler.schedule import probabilities
+@pytest.mark.parametrize("name", sorted(builtin_adversaries()))
+def test_batch_engine_matches_direct_runs_protected(name):
+    """With the marked item protected, the conditional multiplicity agrees
+    with the faithful runner's trials that sampled the marked item."""
+    adv = builtin_adversaries()[name]
+    traces = [run_ssp(SspConfig(initial_size=6, eps=0.5, adversary=adv,
+                                seed=20_000 + t, marked=0))
+              for t in range(4000)]
+    accepted = [t.r_z > 1 for t in traces if t.contains_marked]
+    p_direct, ci_direct = proportion_ci95(sum(accepted), len(accepted))
+    p_batch, ci_batch = estimate_conditional_multiplicity(
+        SspConfig(initial_size=6, eps=0.5, adversary=adv, seed=78), 0, 200_000)
+    assert abs(p_direct - p_batch) <= 3.0 * (ci_direct + ci_batch)
+
+
+def _exact_values(n, eps, rate):
+    """(E[r_z], P(|R_z| > 1 given the marked item in R_z)) from the per-item
+    law.  Each item's first-sample step X is independent with
+    P(X = i) = q_i = (1-rate)^{k-i} p_i prod_{l>i}(1-p_l) (X is undefined if
+    the item is deleted first); q0 is the law without deletion, which the
+    protected item follows, and G(i) = P(X <= i) = 1 - sum_{l>i} q_l."""
     sched = make_schedule(eps, minimum_steps(n, eps))
     p = probabilities(sched)
-    surv, acc, mult = 1.0, 0.0, 0.0
-    for i in range(sched.k, -1, -1):
-        acc += surv * p[i]
-        mult += surv * p[i] * (1 - (1 - p[i]) ** (n - 1))
-        surv *= (1 - p[i]) ** n
-    exact = mult / acc
+    k = sched.k
+    q0 = np.empty(k + 1)
+    q = np.empty(k + 1)
+    g = np.empty(k + 2)  # g[i + 1] = G(i), g[0] = G(-1)
+    unsampled, mass = 1.0, 0.0
+    for i in range(k, -1, -1):
+        g[i + 1] = 1.0 - mass
+        q0[i] = p[i] * unsampled
+        q[i] = (1.0 - rate) ** (k - i) * q0[i]
+        unsampled *= 1.0 - p[i]
+        mass += q[i]
+    g[0] = 1.0 - mass
+    at, below = g[1:] ** (n - 1), g[:-1] ** (n - 1)
+    expected_rz = n * float(np.sum(q * at))
+    multiplicity = float(np.sum(q0 * (at - below)) / np.sum(q0 * at))
+    return expected_rz, multiplicity
+
+
+@EXACT_CASES
+def test_batch_engine_matches_exact_value(adv, rate):
+    eps, n = 0.25, 12
+    _, exact = _exact_values(n, eps, rate)
     p_hat, ci = estimate_conditional_multiplicity(
-        SspConfig(initial_size=n, eps=eps, seed=8), 0, 400_000)
+        SspConfig(initial_size=n, eps=eps, adversary=adv, seed=8), 0, 400_000)
     assert abs(p_hat - exact) <= max(3 * ci, 1e-3)
 
 
-def test_custom_adversary_falls_back_to_direct_runs():
+@EXACT_CASES
+@pytest.mark.parametrize("n,eps", [(12, 0.25), (200, 0.1)])
+def test_expected_rz_matches_exact_value(adv, rate, n, eps):
+    exact, _ = _exact_values(n, eps, rate)
     mean, ci = estimate_expected_rz(
-        SspConfig(initial_size=6, eps=0.5, adversary=KillEverythingEarly(),
-                  seed=9), 1000)
+        SspConfig(initial_size=n, eps=eps, adversary=adv, seed=12), 200_000)
+    assert abs(mean - exact) <= 3 * ci
+
+
+def test_custom_adversary_falls_back_to_direct_runs():
+    cfg = SspConfig(initial_size=6, eps=0.5, adversary=KillEverythingEarly(),
+                    seed=9)
+    mean, ci = estimate_expected_rz(cfg, 1000)
     assert mean - ci <= 3.0  # bound 1 + 4 * 0.5
+    p, ci = estimate_conditional_multiplicity(cfg, 0, 1000)
+    assert p - ci <= 3.0  # bound 6 * 0.5
 
 
 def test_insufficient_samples_raised():
