@@ -10,7 +10,7 @@ from .instance import (Hypergraph, SetCoverInstance, generate_random_hypergraph,
                        generate_random_instance, parse_hypergraph, parse_instance,
                        serialize_hypergraph, serialize_instance, to_hypergraph)
 from .matching import Matching, hypergraph_matching, verify_matching
-from .mpc_sim import (MpcReport, PhasePlan, PlannerConfig, amplify_to_whp,
+from .mpc_sim import (MpcReport, PhasePlan, amplify_to_whp,
                       plan_phases, simulate_degree_estimation,
                       simulate_mpc_f_approx, sparsify_hypergraph)
 from .oracle import (RatioReport, exact_max_matching, exact_min_cover,

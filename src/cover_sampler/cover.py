@@ -11,13 +11,16 @@ Three solvers share one sampling law:
   within a level the same upfront bucketing applied to the candidate sets,
   with lazy downward rebucketing as sets shrink.
 
-Solvers are deterministic given (instance, eps, rng seed).
+All three commit through one step, `_SweepState.commit`, which also drives
+the phase simulator and the degree-estimation pass in ``mpc_sim``; it holds
+the one covered/chosen/residual bookkeeping.  Solvers are deterministic given
+(instance, eps, rng seed).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +92,10 @@ def _effective_eps(eps: float, calibrated: bool) -> float:
 
 
 class _SweepState:
-    """Shared commit logic for the element-bucketed solvers, so the phase
-    simulator can reproduce the plain sweep bit for bit."""
+    """The one commit engine: covered elements, chosen sets and residual set
+    sizes, updated only by `commit`.  Every cover solver, the phase simulator
+    and the degree-estimation pass commit through it, so the simulator
+    reproduces the plain sweep bit for bit."""
 
     def __init__(self, instance: SetCoverInstance, counters: CostCounters):
         self.instance = instance
@@ -101,13 +106,29 @@ class _SweepState:
                                  dtype=np.int64)
         self.chosen: list[int] = []
 
-    def sweep_step(self, element_ids) -> list[int]:
+    def commit(self, s: int, elements) -> None:
+        """Choose set ``s`` and cover ``elements``, the part of it the caller
+        walks; each newly covered element shrinks its sets' residuals once."""
+        c = self.counters
+        self.set_chosen[s] = True
+        self.chosen.append(s)
+        c.edge_touches += len(elements)
+        c.element_touches += len(elements)
+        covered, residual = self.covered, self.residual
+        element_neighbors = self.instance.element_neighbors
+        for t in elements:
+            if not covered[t]:
+                covered[t] = True
+                for s2 in element_neighbors[t]:
+                    residual[s2] -= 1
+
+    def sweep_step(self, element_ids) -> None:
         """Process one step's batch of sampled elements (simultaneously: the
         batch is fixed before any of its coverage takes effect)."""
         c = self.counters
         c.steps_executed += 1
         inst = self.instance
-        batch_sets: list[int] = []
+        batch: dict[int, None] = {}
         for t in element_ids:
             c.element_touches += 1
             if self.covered[t]:
@@ -116,18 +137,9 @@ class _SweepState:
             for s in inst.element_neighbors[t]:
                 c.set_touches += 1
                 if not self.set_chosen[s]:
-                    self.set_chosen[s] = True
-                    batch_sets.append(s)
-        for s in batch_sets:
-            self.chosen.append(s)
-            c.edge_touches += len(inst.set_neighbors[s])
-            for t2 in inst.set_neighbors[s]:
-                c.element_touches += 1
-                if not self.covered[t2]:
-                    self.covered[t2] = True
-                    for s2 in inst.element_neighbors[t2]:
-                        self.residual[s2] -= 1
-        return batch_sets
+                    batch[s] = None
+        for s in batch:
+            self.commit(s, inst.set_neighbors[s])
 
     def cover(self) -> Cover:
         return Cover(tuple(sorted(self.chosen)))
@@ -136,13 +148,14 @@ class _SweepState:
 def draw_buckets(instance: SetCoverInstance, sched, rng) -> np.ndarray:
     """Per-element sampling step, drawn upfront via the alias table."""
     table = alias_for_schedule(sched)
-    return np.asarray(sample_alias(table, rng, size=instance.num_elements))
+    return sample_alias(table, rng, size=instance.num_elements)
 
 
 def buckets_by_step(assignment: np.ndarray) -> dict[int, list[int]]:
+    """Ids 0..n-1 grouped by their drawn step, ascending within each step."""
     buckets: dict[int, list[int]] = defaultdict(list)
-    for t, x in enumerate(assignment):
-        buckets[int(x)].append(t)
+    for t, x in enumerate(assignment.tolist()):
+        buckets[x].append(t)
     return buckets
 
 
@@ -171,7 +184,7 @@ def f_approx_online(instance: SetCoverInstance, eps: float,
             sampled = live_ids
         else:
             sampled = np.sort(rng.choice(live_ids, size=cnt, replace=False))
-        state.sweep_step(int(t) for t in sampled)
+        state.sweep_step(sampled.tolist())
     return state.cover(), counters
 
 
@@ -227,10 +240,8 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     level_cap = guarded_floor(math.log(instance.delta) / log_base)
 
     packed: list[list[int]] = [list(a) for a in instance.set_neighbors]
-    covered = np.zeros(instance.num_elements, dtype=bool)
-    residual = np.array([len(a) for a in instance.set_neighbors], dtype=np.int64)
-    chosen_flag = np.zeros(instance.num_sets, dtype=bool)
-    chosen: list[int] = []
+    state = _SweepState(instance, counters)
+    covered = state.covered
 
     levels: dict[int, list[int]] = defaultdict(list)
     for s, adj in enumerate(instance.set_neighbors):
@@ -242,14 +253,12 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         if not members:
             continue
         threshold = (1.0 + eff) ** j
-        draws = np.asarray(sample_alias(table, rng, size=len(members)))
-        step_groups: dict[int, list[int]] = defaultdict(list)
-        for s, x in zip(members, draws):
-            step_groups[int(x)].append(s)
+        step_groups = buckets_by_step(sample_alias(table, rng, size=len(members)))
         for i in sorted(step_groups, reverse=True):
             counters.steps_executed += 1
-            batch: list[tuple[int, int]] = []
-            for s in step_groups[i]:
+            batch: list[int] = []
+            for idx in step_groups[i]:
+                s = members[idx]
                 before = len(packed[s])
                 counters.set_touches += 1 + before
                 counters.edge_touches += before
@@ -259,7 +268,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
                     continue
                 estimate = oracle.estimate(s, size)
                 if meets_threshold(estimate, threshold):
-                    batch.append((s, size))
+                    batch.append(s)
                 else:
                     new_level = min(guarded_floor(math.log(estimate) / log_base), j - 1)
                     levels[max(new_level, 0)].append(s)
@@ -267,29 +276,20 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
             if not batch:
                 continue
             if batch_log is not None:
-                live_mask = ~chosen_flag
-                max_live = int(residual[live_mask].max()) if live_mask.any() else 0
-                record = BatchRecord(level=j, step=i,
-                                     set_ids=tuple(s for s, _ in batch),
-                                     min_committed_size=min(sz for _, sz in batch),
-                                     max_live_size=max_live,
-                                     cover_multiplicities=())
-            newly: dict[int, int] = {}
-            for s, _ in batch:
-                chosen_flag[s] = True
-                chosen.append(s)
-                counters.edge_touches += len(packed[s])
-                for t in packed[s]:
-                    counters.element_touches += 1
-                    newly[t] = newly.get(t, 0) + 1
-            for t in newly:
-                covered[t] = True
-                for s2 in instance.element_neighbors[t]:
-                    residual[s2] -= 1
-            if batch_log is not None:
-                record.cover_multiplicities = tuple(newly.values())
-                batch_log.append(record)
-    return Cover(tuple(sorted(chosen))), counters
+                live_mask = ~state.set_chosen
+                max_live = int(state.residual[live_mask].max()) if live_mask.any() else 0
+                # every packed list in the batch was filtered before the
+                # batch commits, so this counts each newly covered element
+                # once per batch set that covers it
+                batch_log.append(BatchRecord(
+                    level=j, step=i, set_ids=tuple(batch),
+                    min_committed_size=min(len(packed[s]) for s in batch),
+                    max_live_size=max_live,
+                    cover_multiplicities=tuple(
+                        Counter(t for s in batch for t in packed[s]).values())))
+            for s in batch:
+                state.commit(s, packed[s])
+    return state.cover(), counters
 
 
 def verify_cover(instance: SetCoverInstance, cover: Cover) -> tuple[bool, int | None]:

@@ -138,6 +138,10 @@ def parse_instance(text) -> SetCoverInstance:
             raise ParseError(f"non-integer id in {ln!r}") from exc
     if len(edges) != num_edges:
         raise ParseError(f"header promises {num_edges} edges, found {len(edges)}")
+    # checked before from_edges allocates one list per header element
+    if num_elements > num_edges:
+        raise InfeasibleInstance(f"{num_elements} elements but {num_edges} edges, "
+                                 "so some element has degree 0")
     return SetCoverInstance.from_edges(num_sets, num_elements, edges)
 
 

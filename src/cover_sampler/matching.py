@@ -12,12 +12,12 @@ all its edges are tested.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import CostCounters
+from .cover import CostCounters, buckets_by_step
 from .instance import Hypergraph
 from .schedule import alias_for_schedule, sample_alias, schedule_for_max_size
 
@@ -42,11 +42,7 @@ def hypergraph_matching(hg: Hypergraph, eps: float,
     max_degree = hg.max_vertex_degree()
     sched = schedule_for_max_size(max_degree, eps)
     table = alias_for_schedule(sched)
-    draws = np.asarray(sample_alias(table, rng, size=num_edges))
-
-    step_groups: dict[int, list[int]] = defaultdict(list)
-    for e, x in enumerate(draws):
-        step_groups[int(x)].append(e)
+    step_groups = buckets_by_step(sample_alias(table, rng, size=num_edges))
 
     vertex_dead = np.zeros(hg.num_vertices, dtype=bool)
     collected: list[int] = []

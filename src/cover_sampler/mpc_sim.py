@@ -23,22 +23,14 @@ from .schedule import probabilities, schedule_for_frequency, schedule_for_max_si
 from .util import derive_rng, guarded_floor
 
 
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Planner constants.  The theory fixes none of them; defaults are tuned
-    so desk-scale inputs exercise compressed and uncompressed phases alike.
-
-    tau_constant scales the residual-degree proxy tau = c * ln(n) / p(i).
-    case1_exponent_scale scales the exponent of the no-compression gate
-    (ln n)^(scale * eps^-2 * ln ln n); at 1.0 the gate swallows every
-    desk-scale input.
-    """
-
-    tau_constant: float = 1.0
-    case1_exponent_scale: float = 0.05
-
-
-DEFAULT_PLANNER = PlannerConfig()
+# Planner constants.  The theory fixes neither; they are tuned so desk-scale
+# inputs exercise compressed and uncompressed phases alike.  TAU_CONSTANT
+# scales the residual-degree proxy tau = c * ln(n) / p(i).
+# CASE1_EXPONENT_SCALE scales the exponent of the no-compression gate
+# (ln n)^(scale * eps^-2 * ln ln n); at 1.0 the gate swallows every
+# desk-scale input.
+TAU_CONSTANT = 1.0
+CASE1_EXPONENT_SCALE = 0.05
 
 
 @dataclass(frozen=True)
@@ -64,8 +56,7 @@ class PhasePlan:
     predicted_mpc_rounds: int
 
 
-def plan_phases(delta: int, freq: int, eps: float, n: int,
-                config: PlannerConfig = DEFAULT_PLANNER) -> PhasePlan:
+def plan_phases(delta: int, freq: int, eps: float, n: int) -> PhasePlan:
     """Walk steps k..0 assigning each phase a length by the residual-degree
     proxy tau: length 1 below the no-compression gate (case 1), otherwise
     ceil(sqrt(ln tau)/eps) when the frequency is small (case 2) or
@@ -79,20 +70,20 @@ def plan_phases(delta: int, freq: int, eps: float, n: int,
     p = probabilities(sched)
     ln_n = math.log(n)
     cap = max(1, math.ceil(math.log2(n)))
-    exponent = config.case1_exponent_scale * (eps ** -2) * math.log(max(ln_n, 1.0 + 1e-12))
+    exponent = CASE1_EXPONENT_SCALE * (eps ** -2) * math.log(max(ln_n, 1.0 + 1e-12))
     case1_gate = ln_n ** exponent
     # tau is non-decreasing in the step index, so the no-compression zone is
     # the prefix [0, gate_step]; compressed phases stop at its boundary
     gate_step = -1
     for i in range(sched.k + 1):
-        if config.tau_constant * ln_n / p[i] <= max(case1_gate, 1.0):
+        if TAU_CONSTANT * ln_n / p[i] <= max(case1_gate, 1.0):
             gate_step = i
         else:
             break
     phases: list[PlannedPhase] = []
     i = sched.k
     while i >= 0:
-        tau = config.tau_constant * ln_n / p[i]
+        tau = TAU_CONSTANT * ln_n / p[i]
         if i <= gate_step:
             case, r = 1, 1
         else:
@@ -177,9 +168,7 @@ def _max_ball_size(adj: dict, radius: int) -> int:
 
 
 def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
-                          rng: np.random.Generator,
-                          config: PlannerConfig = DEFAULT_PLANNER
-                          ) -> tuple[Cover, MpcReport]:
+                          rng: np.random.Generator) -> tuple[Cover, MpcReport]:
     """Execute the bucketed frequency solver phase by phase along the plan,
     measuring per phase the relevant subgraph (elements whose pre-drawn step
     falls inside the phase, plus live sets touching them), the largest
@@ -197,7 +186,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     assignment = draw_buckets(instance, sched, rng)
     buckets = buckets_by_step(assignment)
     plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
-                       instance.num_sets + instance.num_elements, config)
+                       instance.num_sets + instance.num_elements)
     state = _SweepState(instance, report.counters)
     rounds = 0
     for idx, phase in enumerate(plan.phases):
@@ -254,13 +243,14 @@ def sparsify_non_isolated_counts(hg: Hypergraph, p: float, trials: int,
     num_edges = len(hg.edges)
     if num_edges == 0:
         return np.zeros(trials, dtype=np.int64)
-    incidence = np.zeros((num_edges, hg.num_vertices), dtype=bool)
-    for e, edge in enumerate(hg.edges):
-        for v in edge:
-            incidence[e, v] = True
+    vertices = np.fromiter((v for edge in hg.edges for v in edge), dtype=np.int64)
+    edge_of = np.repeat(np.arange(num_edges), [len(edge) for edge in hg.edges])
     keep = rng.random((trials, num_edges)) < p
-    touched = keep @ incidence  # counts per vertex
-    return (touched > 0).sum(axis=1).astype(np.int64)
+    counts = np.empty(trials, dtype=np.int64)
+    for r, kept in enumerate(keep):
+        touched = np.bincount(vertices[kept[edge_of]], minlength=hg.num_vertices)
+        counts[r] = np.count_nonzero(touched)
+    return counts
 
 
 @dataclass
@@ -311,32 +301,27 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
                              for _ in adj), dtype=np.int64, count=instance.m)
     edge_elems = np.fromiter((t for adj in instance.set_neighbors for t in adj),
                              dtype=np.int64, count=instance.m)
-    live_elem = np.ones(instance.num_elements, dtype=bool)
-    live_set = np.ones(instance.num_sets, dtype=bool)
+    state = _SweepState(instance, CostCounters())
     estimates = np.full(instance.num_sets, np.inf)
     for i in range(sched.k, -1, -1):
-        in_pool = pools[i] & live_elem
+        in_pool = pools[i] & ~state.covered
         counts = np.bincount(edge_sets, weights=in_pool[edge_elems].astype(float),
                              minlength=instance.num_sets)
         estimates = np.minimum(estimates, counts / q)
         trace.estimates_by_step.append(estimates.copy())
-        eligible = live_set & (estimates >= threshold * (1.0 - 1e-9))
+        eligible = ~state.set_chosen & (estimates >= threshold * (1.0 - 1e-9))
         ids = np.flatnonzero(eligible)
         if ids.size == 0:
             continue
         sampled = ids[rng.random(ids.size) < p[i]]
         if sampled.size == 0:
             continue
-        true_sizes = np.bincount(edge_sets, weights=live_elem[edge_elems].astype(float),
-                                 minlength=instance.num_sets)
         trace.batches.append(DegreeBatch(
             step=i, set_ids=tuple(int(s) for s in sampled),
             estimates=tuple(float(estimates[s]) for s in sampled),
-            true_sizes=tuple(int(true_sizes[s]) for s in sampled)))
-        for s in sampled:
-            live_set[s] = False
-            for t in instance.set_neighbors[int(s)]:
-                live_elem[t] = False
+            true_sizes=tuple(int(t) for t in state.residual[sampled])))
+        for s in sampled.tolist():
+            state.commit(s, instance.set_neighbors[s])
     return trace
 
 

@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 from cover_sampler import (Cover, ExactSize, NoisyExactSize, f_approx_bucketed,
                            f_approx_online, generate_random_instance,
                            hdelta_cover, parse_instance, verify_cover)
-from cover_sampler.cover import BatchRecord
+from cover_sampler.cover import BatchRecord, CostCounters
 from cover_sampler.instance import SetCoverInstance
 from cover_sampler.util import derive_rng
 
@@ -148,6 +148,27 @@ def test_hdelta_batch_multiplicity_mean():
             count += len(rec.cover_multiplicities)
     assert count > 0
     assert total / count <= 1 + 4 * eps + 3 / count ** 0.5
+
+
+def test_hdelta_seeded_values_pinned():
+    # chosen sets, all five counters and the batch log are fixed bit for bit;
+    # the first batch commits three sets that share newly covered elements
+    inst = generate_random_instance(8, 30, 3, seed=20)
+    log: list[BatchRecord] = []
+    cover, counters = hdelta_cover(inst, 0.5, derive_rng(4), batch_log=log)
+    assert cover.chosen_sets == (0, 1, 3, 5)
+    assert counters == CostCounters(element_touches=43, set_touches=108,
+                                    edge_touches=139, steps_executed=9,
+                                    rebucket_events=4)
+    assert log == [
+        BatchRecord(level=6, step=15, set_ids=(0, 1, 3), min_committed_size=12,
+                    max_live_size=15,
+                    cover_multiplicities=(2, 1, 3, 1, 2, 1, 2, 1, 1, 2, 1, 2,
+                                          1, 2, 2, 1, 2, 1, 2, 1, 1, 2, 2, 1,
+                                          1, 1, 1, 1)),
+        BatchRecord(level=1, step=15, set_ids=(5,), min_committed_size=2,
+                    max_live_size=2, cover_multiplicities=(1, 1)),
+    ]
 
 
 def test_hdelta_noisy_oracle_invariants(small_instance):

@@ -1,5 +1,7 @@
 """Parsing, generation, serialization round-trips, and the hypergraph view."""
 
+import tracemalloc
+
 import pytest
 
 from cover_sampler import (EmptyEdge, InfeasibleInstance, ParseError,
@@ -28,6 +30,18 @@ def test_parse_uncovered_element_is_infeasible():
     # both edges land on element 0, so element 1 has degree 0
     with pytest.raises(InfeasibleInstance, match="element id 1"):
         parse_instance("p sc 2 2 2\ne 0 0\ne 1 0")
+
+
+def test_parse_rejects_element_count_before_allocating():
+    # one list per header element would take hundreds of MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleInstance, match="10000000 elements"):
+            parse_instance("p sc 1 10000000 1\ne 0 0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("text", [

@@ -12,7 +12,8 @@ from cover_sampler import (f_approx_bucketed, generate_random_hypergraph,
                            simulate_mpc_f_approx, sparsify_hypergraph,
                            verify_cover)
 from cover_sampler.instance import SetCoverInstance
-from cover_sampler.mpc_sim import (amplify_to_whp, sparsify_non_isolated_counts)
+from cover_sampler.mpc_sim import (DegreeBatch, amplify_to_whp,
+                                  sparsify_non_isolated_counts)
 from cover_sampler.oracle import exact_min_cover
 from cover_sampler.util import derive_rng, mean_ci95
 
@@ -115,6 +116,18 @@ def test_sparsify_expected_non_isolated_bound():
     assert mean <= 0.1 * hg.avg_rank * len(hg.edges) + 3 * sem
 
 
+def test_sparsify_mean_matches_exact_value():
+    # vertex v stays non-isolated unless all deg(v) of its edges are dropped
+    hg = generate_random_hypergraph(40, 70, 3, seed=11)
+    p = 0.2
+    degree = np.bincount([v for e in hg.edges for v in e],
+                         minlength=hg.num_vertices)
+    exact = float(np.sum(1.0 - (1.0 - p) ** degree))
+    mean, ci = mean_ci95(sparsify_non_isolated_counts(hg, p, 20_000,
+                                                      derive_rng(5)))
+    assert abs(mean - exact) <= 3 * ci
+
+
 def test_sparsify_counts_match_single_draws():
     hg = generate_random_hypergraph(15, 25, 2, seed=10)
     singles = [sparsify_hypergraph(hg, 0.3, derive_rng(3, t))[1]
@@ -158,6 +171,24 @@ def test_degree_estimation_commits_large_sets():
                 good += 1
     assert total > 0
     assert good / total >= 0.99
+
+
+@pytest.mark.parametrize("level,expected", [
+    (0, [DegreeBatch(step=15, set_ids=(2,), estimates=(10.0,), true_sizes=(10,)),
+         DegreeBatch(step=12, set_ids=(3, 4, 7), estimates=(11.0, 9.0, 9.0),
+                     true_sizes=(11, 9, 9)),
+         DegreeBatch(step=11, set_ids=(0, 5), estimates=(1.0, 1.0),
+                     true_sizes=(1, 1))]),
+    (4, [DegreeBatch(step=15, set_ids=(2,), estimates=(10.0,), true_sizes=(10,)),
+         DegreeBatch(step=12, set_ids=(5, 7), estimates=(8.0, 9.0),
+                     true_sizes=(8, 9)),
+         DegreeBatch(step=9, set_ids=(3,), estimates=(6.0,), true_sizes=(6,))]),
+])
+def test_degree_estimation_seeded_values_pinned(level, expected):
+    inst = generate_random_instance(8, 30, 3, seed=20)
+    trace = simulate_degree_estimation(inst, 0.5, level, derive_rng(4))
+    assert trace.batches == expected
+    assert len(trace.estimates_by_step) == trace.k + 1 == 16
 
 
 def test_degree_estimation_level_range():

@@ -2,6 +2,8 @@
 correctness (including cross-validation of the batch engine against the
 step-faithful runner), and the deterministic step-level checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from cover_sampler import (AdaptiveKillOnNearMiss, Adversary,
                            estimate_expected_rz, make_schedule, minimum_steps,
                            run_ssp)
 from cover_sampler.schedule import probabilities
-from cover_sampler.util import mean_ci95, proportion_ci95
+from cover_sampler.ssp import _batch_zr, _resolve_schedule
+from cover_sampler.util import derive_rng, mean_ci95, proportion_ci95
 
 # Adversaries with an independent per-item deletion rate, for the exact
 # values; at a slow rate most items survive to the steps where the hazard's
@@ -177,11 +180,12 @@ def test_batch_engine_matches_direct_runs_protected(name):
 
 
 def _exact_values(n, eps, rate):
-    """(E[r_z], P(|R_z| > 1 given the marked item in R_z)) from the per-item
-    law.  Each item's first-sample step X is independent with
-    P(X = i) = q_i = (1-rate)^{k-i} p_i prod_{l>i}(1-p_l) (X is undefined if
-    the item is deleted first); q0 is the law without deletion, which the
-    protected item follows, and G(i) = P(X <= i) = 1 - sum_{l>i} q_l."""
+    """(E[r_z], P(|R_z| > 1 given the marked item in R_z), P(marked item in
+    R_z)) from the per-item law.  Each item's first-sample step X is
+    independent with P(X = i) = q_i = (1-rate)^{k-i} p_i prod_{l>i}(1-p_l)
+    (X is undefined if the item is deleted first); q0 is the law without
+    deletion, which the protected item follows, and
+    G(i) = P(X <= i) = 1 - sum_{l>i} q_l."""
     sched = make_schedule(eps, minimum_steps(n, eps))
     p = probabilities(sched)
     k = sched.k
@@ -198,14 +202,33 @@ def _exact_values(n, eps, rate):
     g[0] = 1.0 - mass
     at, below = g[1:] ** (n - 1), g[:-1] ** (n - 1)
     expected_rz = n * float(np.sum(q * at))
-    multiplicity = float(np.sum(q0 * (at - below)) / np.sum(q0 * at))
-    return expected_rz, multiplicity
+    marked_share = float(np.sum(q0 * at))
+    multiplicity = float(np.sum(q0 * (at - below))) / marked_share
+    return expected_rz, multiplicity, marked_share
+
+
+def _exact_marked_share(adv, n, eps):
+    """P(marked item in R_z) with the marked item protected: it is sampled at
+    step i, with chance p_i, after no sample landed above i.  For pool sizes
+    n_j fixed in advance (marked item included) that is
+    sum_i p_i prod_{j>i} (1-p_j)^{n_j}."""
+    if isinstance(adv, DeleteSampledNeighbors):
+        return _exact_values(n, eps, adv.rate)[2]
+    sched = make_schedule(eps, minimum_steps(n, eps))
+    sizes = adv.size_sequence(sched, n, protect=True)
+    p = probabilities(sched)
+    share, log_no_sample = 0.0, 0.0
+    for i in range(sched.k, -1, -1):
+        share += p[i] * math.exp(log_no_sample)
+        if i:  # p_0 = 1: nothing lies below step 0, and log1p(-1) diverges
+            log_no_sample += int(sizes[i]) * math.log1p(-p[i])
+    return share
 
 
 @EXACT_CASES
 def test_batch_engine_matches_exact_value(adv, rate):
     eps, n = 0.25, 12
-    _, exact = _exact_values(n, eps, rate)
+    _, exact, _ = _exact_values(n, eps, rate)
     p_hat, ci = estimate_conditional_multiplicity(
         SspConfig(initial_size=n, eps=eps, adversary=adv, seed=8), 0, 400_000)
     assert abs(p_hat - exact) <= max(3 * ci, 1e-3)
@@ -214,10 +237,23 @@ def test_batch_engine_matches_exact_value(adv, rate):
 @EXACT_CASES
 @pytest.mark.parametrize("n,eps", [(12, 0.25), (200, 0.1)])
 def test_expected_rz_matches_exact_value(adv, rate, n, eps):
-    exact, _ = _exact_values(n, eps, rate)
+    exact, _, _ = _exact_values(n, eps, rate)
     mean, ci = estimate_expected_rz(
         SspConfig(initial_size=n, eps=eps, adversary=adv, seed=12), 200_000)
     assert abs(mean - exact) <= 3 * ci
+
+
+@pytest.mark.parametrize("name", sorted(builtin_adversaries()))
+@pytest.mark.parametrize("n,eps", [(12, 0.25), (200, 0.1)])
+def test_marked_share_matches_exact_value(name, n, eps):
+    """The share of protected-mode trials whose stop sample holds the marked
+    item (the trials the conditional multiplicity accepts) is exact too."""
+    adv = builtin_adversaries()[name]
+    cfg = SspConfig(initial_size=n, eps=eps, adversary=adv)
+    _, accepted = _batch_zr(cfg, _resolve_schedule(cfg), 200_000,
+                            derive_rng(13), protect=True)
+    share, ci = proportion_ci95(int(accepted.sum()), accepted.size)
+    assert abs(share - _exact_marked_share(adv, n, eps)) <= 3 * ci
 
 
 def test_custom_adversary_falls_back_to_direct_runs():
