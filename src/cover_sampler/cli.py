@@ -206,12 +206,12 @@ def cmd_mpc(args) -> int:
         return EXIT_OK
     if not args.input:
         raise CoverSamplerError("an instance file (or --delta-sweep) is required")
+    if args.eps is None:
+        raise CoverSamplerError("--eps required")
     text = _read_text(args.input)
     if _sniff_kind(text) != "sc":
         raise CoverSamplerError("mpc simulation needs a set-cover input")
     instance = parse_instance(text)
-    if args.eps is None:
-        raise CoverSamplerError("--eps required")
     if args.alg == "hdelta-inner":
         trace = simulate_degree_estimation(instance, args.eps, args.j,
                                            derive_rng(args.seed, 0))

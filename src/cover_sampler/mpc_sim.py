@@ -6,13 +6,13 @@ amplification.
 
 The simulator is logical: one machine executes the bucketed solver phase by
 phase and measures relevant-subgraph sizes, neighborhood-ball sizes and
-residual degrees.  No networking or machine partitioning is emulated.
+residual degrees.  Ball sizes are exact, from a bit-parallel BFS over the
+phase's relevant subgraph.  No networking or machine partitioning is emulated.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,46 +125,33 @@ class MpcReport:
     counters: CostCounters = field(default_factory=CostCounters)
 
 
-def _max_ball_size(adj: dict, radius: int) -> int:
-    """Largest number of vertices within ``radius`` hops of any vertex.
-    Components no larger than the best ball so far cannot improve it."""
-    best = 0
-    seen: set[int] = set()
-    components: list[list[int]] = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        components.append(comp)
-    for comp in sorted(components, key=len, reverse=True):
-        if len(comp) <= best:
-            break
-        for src in comp:
-            dist = {src: 0}
-            queue = deque([src])
-            count = 1
-            while queue:
-                u = queue.popleft()
-                if dist[u] == radius:
-                    continue
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        count += 1
-                        queue.append(w)
-            best = max(best, count)
-            if best == len(comp):
-                break
-    return best
+# Sources are measured in blocks of this many bits, so a node's reach set
+# stays within 512 bytes and the sets of an n-node phase graph within about
+# n * 512 bytes however large it is.
+_BALL_BLOCK = 4096
+
+
+def _max_ball_size(adj: list[list[int]], radius: int) -> int:
+    """Largest number of nodes within ``radius`` hops of any node of the
+    undirected graph ``adj`` (node ids 0..len(adj)-1), by bit-parallel BFS:
+    after r rounds of reach[v] |= reach[w] over every edge, the bit of
+    source s in reach[v] is set iff s lies within r hops of v, so ball(v) is
+    the popcount of reach[v] summed over the source blocks."""
+    n = len(adj)
+    ball = [0] * n
+    for lo in range(0, n, _BALL_BLOCK):
+        reach = [0] * n
+        for s in range(lo, min(n, lo + _BALL_BLOCK)):
+            reach[s] = 1 << (s - lo)
+        for _ in range(radius):
+            grown = []
+            for own, nbrs in zip(reach, adj):
+                for w in nbrs:
+                    own |= reach[w]
+                grown.append(own)
+            reach = grown
+        ball = [b + r.bit_count() for b, r in zip(ball, reach)]
+    return max(ball, default=0)
 
 
 def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
@@ -195,17 +182,19 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         live_elements = int((~state.covered).sum())
         relevant = [t for i in range(i_lo, i_hi + 1) for t in buckets.get(i, ())
                     if not state.covered[t]]
-        adj: dict = defaultdict(list)
-        side_sets: set[int] = set()
-        for t in relevant:
-            node_t = ("t", t)
-            adj.setdefault(node_t, [])
+        # relevant element u is node u; each live set touching one is the
+        # next node after them
+        adj: list[list[int]] = [[] for _ in relevant]
+        set_node: dict[int, int] = {}
+        for u, t in enumerate(relevant):
             for s in instance.element_neighbors[t]:
                 if not state.set_chosen[s]:
-                    side_sets.add(s)
-                    adj[node_t].append(("s", s))
-                    adj[("s", s)].append(node_t)
-        max_ball = _max_ball_size(adj, phase.length) if adj else 0
+                    if s not in set_node:
+                        set_node[s] = len(adj)
+                        adj.append([])
+                    adj[u].append(set_node[s])
+                    adj[set_node[s]].append(u)
+        max_ball = _max_ball_size(adj, phase.length)
         for i in range(i_hi, i_lo - 1, -1):
             group = buckets.get(i)
             if group:
@@ -217,7 +206,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
             index=idx, case_tag=phase.case_tag, start_step=i_hi, end_step=i_lo,
             length=phase.length, p_start=float(p[i_hi]), p_end=float(p[i_lo]),
             live_elements=live_elements, relevant_elements=len(relevant),
-            nonisolated_sets=len(side_sets), max_ball=max_ball,
+            nonisolated_sets=len(set_node), max_ball=max_ball,
             residual_degree_after=residual_after, cumulative_rounds=rounds))
     report.simulated_rounds = rounds
     return state.cover(), report
@@ -296,7 +285,11 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     if instance.num_elements == 0:
         return trace
 
-    pools = rng.random((sched.k + 1, instance.num_elements)) < q
+    # row by row draws the same stream as one (k+1) x T draw, without its
+    # float64 temporary
+    pools = np.empty((sched.k + 1, instance.num_elements), dtype=bool)
+    for row in pools:
+        np.less(rng.random(instance.num_elements), q, out=row)
     edge_sets = np.fromiter((s for s, adj in enumerate(instance.set_neighbors)
                              for _ in adj), dtype=np.int64, count=instance.m)
     edge_elems = np.fromiter((t for adj in instance.set_neighbors for t in adj),

@@ -215,6 +215,12 @@ def test_mpc_empty_instance_single_row(capsys, tmp_path):
     assert rows[0]["cumulative_rounds"] == "0"
 
 
+def test_mpc_missing_eps_reported_before_reading_input(capsys):
+    code, _, err = run_cli(capsys, "mpc", "/nonexistent.sc")
+    assert code == 1
+    assert "--eps required" in err
+
+
 def test_mpc_degree_estimation_dispatch(capsys, sc_file):
     code, out, _ = run_cli(capsys, "mpc", "--alg", "hdelta-inner", "--j", "1",
                            "--eps", "0.25", "--seed", "3", sc_file)

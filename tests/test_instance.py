@@ -53,7 +53,8 @@ def test_parse_rejects_element_count_before_allocating():
     "p sc 1 1 2\ne 0 0",
     "p sc 1 1 1\ne 1 0",
     "p sc 1 1 1\ne 0 1",
-])
+], ids=["empty", "short-header", "bad-kind", "bad-line-tag", "extra-edge",
+        "missing-edge", "set-out-of-range", "element-out-of-range"])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_instance(text)

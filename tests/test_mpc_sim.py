@@ -2,10 +2,14 @@
 sample-based size estimation, and best-of-many amplification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
+from cover_sampler import mpc_sim
 from cover_sampler import (f_approx_bucketed, generate_random_hypergraph,
                            generate_random_instance, hypergraph_matching,
                            plan_phases, simulate_degree_estimation,
@@ -77,6 +81,52 @@ def test_phase_report_shape():
     for rec in report.phases:
         assert rec.relevant_elements <= rec.live_elements
         assert rec.max_ball >= 0
+
+
+def _reference_max_ball(adj, radius):
+    n = len(adj)
+    rows = [v for v, nbrs in enumerate(adj) for _ in nbrs]
+    cols = [w for nbrs in adj for w in nbrs]
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    dist = shortest_path(graph, directed=False, unweighted=True)
+    return int((dist <= radius).sum(axis=1).max())
+
+
+def _random_graph(rng):
+    n = int(rng.integers(1, 40))
+    density = rng.choice([0.0, 0.02, 0.05, 0.1, 0.3])
+    adj = [[] for _ in range(n)]
+    for v in range(n):
+        for w in range(v + 1, n):
+            if rng.random() < density:
+                adj[v].append(w)
+                adj[w].append(v)
+    return adj
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default-block", "block-3"])
+def test_max_ball_matches_shortest_path_reference(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(mpc_sim, "_BALL_BLOCK", block)
+    for r in (1, 2, 5):
+        assert mpc_sim._max_ball_size([], r) == 0
+    rng = np.random.default_rng(42)
+    for trial in range(200):
+        adj = _random_graph(rng)
+        # radius 1, a middle radius, and one at least the diameter
+        radius = (1, int(rng.integers(2, 6)), len(adj))[trial % 3]
+        assert mpc_sim._max_ball_size(adj, radius) == _reference_max_ball(adj, radius)
+
+
+def test_phase_records_seeded_values_pinned():
+    # the first phase's ball (126) is smaller than its component (318 nodes)
+    inst = generate_random_instance(250, 1500, 2, seed=5)
+    _, report = simulate_mpc_f_approx(inst, 0.25, derive_rng(0))
+    expected = [(11, 194, 200, 126), (11, 37, 47, 22), (10, 12, 21, 7),
+                (9, 6, 9, 9), (9, 5, 10, 3), (9, 0, 0, 0), (5, 1, 2, 3)]
+    expected += [(1, 0, 0, 0)] * 21
+    assert [(rec.length, rec.relevant_elements, rec.nonisolated_sets, rec.max_ball)
+            for rec in report.phases] == expected
 
 
 def test_phase_degree_drop_invariant():
@@ -189,6 +239,21 @@ def test_degree_estimation_seeded_values_pinned(level, expected):
     trace = simulate_degree_estimation(inst, 0.5, level, derive_rng(4))
     assert trace.batches == expected
     assert len(trace.estimates_by_step) == trace.k + 1 == 16
+
+
+def test_degree_estimation_pools_stay_near_their_own_size():
+    # a single (k+1) x T float64 draw would alone take 8x the bool pools
+    num_elements = 5000
+    inst = SetCoverInstance.from_edges(
+        3, num_elements, [(t % 3, t) for t in range(num_elements)])
+    tracemalloc.start()
+    try:
+        trace = simulate_degree_estimation(inst, 0.1, 0, derive_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.batches
+    assert peak < 3 * (trace.k + 1) * num_elements
 
 
 def test_degree_estimation_level_range():
