@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 from .corpus import (build_cover_corpus, build_matching_corpus,
@@ -74,9 +75,14 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+# a non-empty line between the line boundaries of str.splitlines
+_LINE = re.compile("[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
 def _sniff_kind(text: str) -> str:
-    for line in text.splitlines():
-        stripped = line.strip()
+    # reads lines only up to the header, not the whole file
+    for match in _LINE.finditer(text):
+        stripped = match.group().strip()
         if not stripped or stripped.startswith("c"):
             continue
         parts = stripped.split()

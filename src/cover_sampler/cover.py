@@ -20,6 +20,7 @@ the one covered/chosen/residual bookkeeping.  Solvers are deterministic given
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -100,25 +101,30 @@ class _SweepState:
     def __init__(self, instance: SetCoverInstance, counters: CostCounters):
         self.instance = instance
         self.counters = counters
-        self.covered = np.zeros(instance.num_elements, dtype=bool)
-        self.set_chosen = np.zeros(instance.num_sets, dtype=bool)
-        self.residual = np.array([len(a) for a in instance.set_neighbors],
-                                 dtype=np.int64)
+        # Loops read and write single entries through the buffers, which
+        # skips numpy's per-element overhead; the numpy views share their
+        # memory for the vector readers.
+        self.covered_buf = bytearray(instance.num_elements)
+        self.chosen_buf = bytearray(instance.num_sets)
+        self.residual_buf = array("q", map(len, instance.set_neighbors))
+        self.covered = np.frombuffer(self.covered_buf, dtype=bool)
+        self.set_chosen = np.frombuffer(self.chosen_buf, dtype=bool)
+        self.residual = np.frombuffer(self.residual_buf, dtype=np.int64)
         self.chosen: list[int] = []
 
     def commit(self, s: int, elements) -> None:
         """Choose set ``s`` and cover ``elements``, the part of it the caller
         walks; each newly covered element shrinks its sets' residuals once."""
         c = self.counters
-        self.set_chosen[s] = True
+        self.chosen_buf[s] = 1
         self.chosen.append(s)
         c.edge_touches += len(elements)
         c.element_touches += len(elements)
-        covered, residual = self.covered, self.residual
+        covered, residual = self.covered_buf, self.residual_buf
         element_neighbors = self.instance.element_neighbors
         for t in elements:
             if not covered[t]:
-                covered[t] = True
+                covered[t] = 1
                 for s2 in element_neighbors[t]:
                     residual[s2] -= 1
 
@@ -128,15 +134,16 @@ class _SweepState:
         c = self.counters
         c.steps_executed += 1
         inst = self.instance
+        covered, chosen = self.covered_buf, self.chosen_buf
         batch: dict[int, None] = {}
         for t in element_ids:
             c.element_touches += 1
-            if self.covered[t]:
+            if covered[t]:
                 continue
             c.edge_touches += len(inst.element_neighbors[t])
             for s in inst.element_neighbors[t]:
                 c.set_touches += 1
-                if not self.set_chosen[s]:
+                if not chosen[s]:
                     batch[s] = None
         for s in batch:
             self.commit(s, inst.set_neighbors[s])
@@ -241,7 +248,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
 
     packed: list[list[int]] = [list(a) for a in instance.set_neighbors]
     state = _SweepState(instance, counters)
-    covered = state.covered
+    covered = state.covered_buf
 
     levels: dict[int, list[int]] = defaultdict(list)
     for s, adj in enumerate(instance.set_neighbors):

@@ -7,15 +7,24 @@ Text formats (line based, 0-based ids, ``c`` lines are comments):
   ``<num_edges>`` lines ``e <set_id> <element_id>``.
 * hypergraph:  ``p hg <num_vertices> <num_edges>`` followed by one line per
   edge listing its vertex ids.
+
+Both builders check and sort whole id columns with numpy; the stored rows are
+tuples cut from one ``tolist()`` per side.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate, chain
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import EmptyEdge, InfeasibleInstance, ParseError
 from .util import derive_rng
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -36,33 +45,107 @@ class SetCoverInstance:
 
     @classmethod
     def from_edges(cls, num_sets: int, num_elements: int,
-                   edges: Iterable[tuple[int, int]]) -> "SetCoverInstance":
-        if num_sets < 0 or num_elements < 0:
-            raise ParseError("negative size in header")
-        set_adj: list[list[int]] = [[] for _ in range(num_sets)]
-        elem_adj: list[list[int]] = [[] for _ in range(num_elements)]
-        seen: set[tuple[int, int]] = set()
-        for s, t in edges:
-            if not (0 <= s < num_sets):
-                raise ParseError(f"set id {s} out of range [0, {num_sets})")
-            if not (0 <= t < num_elements):
-                raise ParseError(f"element id {t} out of range [0, {num_elements})")
-            if (s, t) in seen:
-                raise ParseError(f"duplicate edge ({s}, {t})")
-            seen.add((s, t))
-            set_adj[s].append(t)
-            elem_adj[t].append(s)
-        for t, adj in enumerate(elem_adj):
-            if not adj:
-                raise InfeasibleInstance(
-                    f"element id {t} has degree 0; no cover can include it")
-        set_neighbors = tuple(tuple(sorted(adj)) for adj in set_adj)
-        element_neighbors = tuple(tuple(sorted(adj)) for adj in elem_adj)
-        delta = max((len(a) for a in set_neighbors), default=0)
-        freq = max((len(a) for a in element_neighbors), default=0)
-        return cls(num_sets=num_sets, num_elements=num_elements,
-                   set_neighbors=set_neighbors, element_neighbors=element_neighbors,
-                   delta=delta, freq=freq, m=len(seen))
+                   edges: Iterable[Sequence[int]]) -> "SetCoverInstance":
+        """Instance from (set id, element id) pairs.  The first pair in input
+        order that is out of range or repeats an earlier pair raises
+        `ParseError`, as does a non-integer id; then the lowest element of
+        degree 0 raises `InfeasibleInstance`."""
+        edges = list(edges)
+        if set(map(len, edges)) - {2}:
+            raise ValueError("edges must be (set id, element id) pairs")
+        ids = _id_array(list(chain.from_iterable(edges)))
+        return _build_instance(num_sets, num_elements, ids[0::2], ids[1::2],
+                               edges.__getitem__)
+
+
+def _build_instance(num_sets: int, num_elements: int, sets: np.ndarray,
+                    elems: np.ndarray, edge_at) -> SetCoverInstance:
+    """Instance from parallel int64 id columns; ``edge_at(i)`` returns edge
+    ``i`` as given, for error messages."""
+    if num_sets < 0 or num_elements < 0:
+        raise ParseError("negative size in header")
+    bad = (sets < 0) | (sets >= num_sets) | (elems < 0) | (elems >= num_elements)
+    if bad.any():
+        _raise_first_bad_edge(num_sets, num_elements, edge_at, sets.size)
+    # sorted by (set, element), a repeated edge sits next to its copy
+    order = _pair_order(sets, elems, num_sets, num_elements)
+    by_set, elems_by_set = sets[order], elems[order]
+    if ((by_set[1:] == by_set[:-1]) & (elems_by_set[1:] == elems_by_set[:-1])).any():
+        _raise_first_bad_edge(num_sets, num_elements, edge_at, sets.size)
+    elem_degree = np.bincount(elems, minlength=num_elements).tolist()
+    if 0 in elem_degree:
+        raise InfeasibleInstance(f"element id {elem_degree.index(0)} has degree 0; "
+                                 "no cover can include it")
+    set_degree = np.bincount(sets, minlength=num_sets).tolist()
+    # set rows get fresh ints, allocated in row order; element rows share one
+    # int object per set id
+    set_neighbors = _rows(elems_by_set.tolist(), set_degree)
+    by_elem = _pair_order(elems, sets, num_elements, num_sets)
+    shared = np.array(range(num_sets), dtype=object)
+    element_neighbors = _rows(shared[sets[by_elem]].tolist(), elem_degree)
+    return SetCoverInstance(
+        num_sets=num_sets, num_elements=num_elements,
+        set_neighbors=set_neighbors, element_neighbors=element_neighbors,
+        delta=max(set_degree, default=0), freq=max(elem_degree, default=0),
+        m=int(sets.size))
+
+
+def _raise_first_bad_edge(num_sets: int, num_elements: int, edge_at,
+                          count: int) -> None:
+    """Raise for the first edge, in input order, that is out of range or
+    repeats an earlier one."""
+    seen = set()
+    for i in range(count):
+        s, t = edge_at(i)
+        if not (0 <= s < num_sets):
+            raise ParseError(f"set id {s} out of range [0, {num_sets})")
+        if not (0 <= t < num_elements):
+            raise ParseError(f"element id {t} out of range [0, {num_elements})")
+        if (s, t) in seen:
+            raise ParseError(f"duplicate edge ({s}, {t})")
+        seen.add((s, t))
+
+
+def _pair_order(major: np.ndarray, minor: np.ndarray, major_count: int,
+                minor_count: int) -> np.ndarray:
+    """Indices that sort id pairs in [0, major_count) x [0, minor_count) by
+    (major, minor)."""
+    if major_count * minor_count > _INT64_MAX:
+        return np.lexsort((minor, major))
+    return np.argsort(major * minor_count + minor)
+
+
+def _rows(flat: list, lengths: list[int]) -> tuple[tuple[int, ...], ...]:
+    """``flat`` cut into consecutive tuples of the given lengths."""
+    flat_tuple = tuple(flat)
+    ends = list(accumulate(lengths))
+    return tuple(flat_tuple[a:b] for a, b in zip([0] + ends[:-1], ends))
+
+
+def _clamp(value: int) -> int:
+    # an id outside int64 is outside every range; -1 keeps it so
+    return value if -_INT64_MAX - 1 <= value <= _INT64_MAX else -1
+
+
+def _id_array(values: list) -> np.ndarray:
+    """int64 array of integer ids; raises `ParseError` for any other value,
+    so a float is never truncated."""
+    arr = np.array(values)
+    if arr.dtype.kind in "ib":
+        return arr.astype(np.int64, copy=False)
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise ParseError(f"non-integer id {v!r}")
+    return np.array([_clamp(int(v)) for v in values], dtype=np.int64)
+
+
+def _text_ids(tokens: list[str]) -> np.ndarray:
+    """int64 array of the ids ``int()`` reads from ``tokens``; raises
+    ValueError for a token that is not an integer."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        return np.array([_clamp(int(x)) for x in tokens], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -80,24 +163,14 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, num_vertices: int,
-                   edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        if num_vertices < 0:
-            raise ParseError("negative vertex count")
-        normalized: list[tuple[int, ...]] = []
-        for raw in edges:
-            vs = list(raw)
-            if not vs:
-                raise EmptyEdge("hyperedge with no vertices")
-            if len(set(vs)) != len(vs):
-                raise ParseError(f"duplicate vertex within edge {vs}")
-            for v in vs:
-                if not (0 <= v < num_vertices):
-                    raise ParseError(f"vertex id {v} out of range [0, {num_vertices})")
-            normalized.append(tuple(sorted(vs)))
-        rank = max((len(e) for e in normalized), default=0)
-        avg = (sum(len(e) for e in normalized) / len(normalized)) if normalized else 0.0
-        return cls(num_vertices=num_vertices, edges=tuple(normalized),
-                   rank=rank, avg_rank=avg)
+                   edges: Iterable[Sequence[int]]) -> "Hypergraph":
+        """Hypergraph from vertex-id sequences.  The first edge in input order
+        that is empty, repeats a vertex or holds an out-of-range vertex raises
+        (`EmptyEdge` or `ParseError`), as does a non-integer id."""
+        edges = list(edges)
+        ids = _id_array(list(chain.from_iterable(edges)))
+        return _build_hypergraph(num_vertices, ids, list(map(len, edges)),
+                                 edges.__getitem__)
 
     def max_vertex_degree(self) -> int:
         deg = [0] * self.num_vertices
@@ -107,42 +180,116 @@ class Hypergraph:
         return max(deg, default=0)
 
 
-def _content_lines(text) -> list[str]:
-    if isinstance(text, str):
-        raw = text.splitlines()
+def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: list[int],
+                      edge_at) -> Hypergraph:
+    """Hypergraph from the concatenated vertex ids of edges with the given
+    sizes; ``edge_at(i)`` returns edge ``i`` as given, for error messages."""
+    if num_vertices < 0:
+        raise ParseError("negative vertex count")
+    edge_of = np.repeat(np.arange(len(sizes)), sizes)
+    if 0 in sizes or ((ids < 0) | (ids >= num_vertices)).any():
+        _raise_first_bad_hyperedge(num_vertices, edge_at, len(sizes))
+    # sorting within each edge keeps the edges in place and puts a repeated
+    # vertex next to its copy
+    ids = ids[_pair_order(edge_of, ids, len(sizes), num_vertices)]
+    if ((ids[1:] == ids[:-1]) & (edge_of[1:] == edge_of[:-1])).any():
+        _raise_first_bad_hyperedge(num_vertices, edge_at, len(sizes))
+    return Hypergraph(num_vertices=num_vertices, edges=_rows(ids.tolist(), sizes),
+                      rank=max(sizes, default=0),
+                      avg_rank=sum(sizes) / len(sizes) if sizes else 0.0)
+
+
+def _raise_first_bad_hyperedge(num_vertices: int, edge_at, count: int) -> None:
+    """Raise for the first edge, in input order, that is empty, repeats a
+    vertex or holds an out-of-range vertex."""
+    for i in range(count):
+        vs = list(edge_at(i))
+        if not vs:
+            raise EmptyEdge("hyperedge with no vertices")
+        if len(set(vs)) != len(vs):
+            raise ParseError(f"duplicate vertex within edge {vs}")
+        for v in vs:
+            if not (0 <= v < num_vertices):
+                raise ParseError(f"vertex id {v} out of range [0, {num_vertices})")
+
+
+def _header_and_body(text) -> tuple[str, list[str]]:
+    """The first line that is neither blank nor a comment, and the lines after
+    it without comment lines."""
+    if not isinstance(text, str):
+        text = "\n".join(str(line).rstrip("\n") for line in text)
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.strip() and not _is_comment(line):
+            break
     else:
-        raw = [str(line) for line in text]
-    return [line.rstrip("\n") for line in raw if not line.lstrip().startswith("c")]
+        raise ParseError("empty input")
+    body = lines[i + 1:]
+    # no id contains a 'c', so a body without one has no comment lines
+    if "c" in "".join(body):
+        body = [line for line in body if not _is_comment(line)]
+    return lines[i], body
+
+
+def _is_comment(line: str) -> bool:
+    return line.lstrip().startswith("c")
 
 
 def parse_instance(text) -> SetCoverInstance:
     """Parse the ``p sc`` format from a string or an iterable of lines."""
-    lines = [ln for ln in _content_lines(text) if ln.strip()]
-    if not lines:
-        raise ParseError("empty input")
-    header = lines[0].split()
+    header_line, body = _header_and_body(text)
+    header = header_line.split()
     if len(header) != 5 or header[0] != "p" or header[1] != "sc":
-        raise ParseError(f"bad header {lines[0]!r}; expected 'p sc S T M'")
+        raise ParseError(f"bad header {header_line!r}; expected 'p sc S T M'")
     try:
         num_sets, num_elements, num_edges = (int(x) for x in header[2:])
     except ValueError as exc:
-        raise ParseError(f"non-integer header field in {lines[0]!r}") from exc
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] != "e" or len(parts) != 3:
-            raise ParseError(f"bad edge line {ln!r}; expected 'e <set> <element>'")
-        try:
-            edges.append((int(parts[1]), int(parts[2])))
-        except ValueError as exc:
-            raise ParseError(f"non-integer id in {ln!r}") from exc
-    if len(edges) != num_edges:
-        raise ParseError(f"header promises {num_edges} edges, found {len(edges)}")
-    # checked before from_edges allocates one list per header element
+        raise ParseError(f"non-integer header field in {header_line!r}") from exc
+    table = _edge_table(body)
+    if table is None:
+        lines = [line for line in body if line.strip()]
+        table = _edge_table([line.strip() for line in lines])
+        if table is None:
+            _raise_bad_edge_line(lines)
+    sets, elems, tokens = table
+    if sets.size != num_edges:
+        raise ParseError(f"header promises {num_edges} edges, found {sets.size}")
+    # checked before the build allocates per-element arrays
     if num_elements > num_edges:
         raise InfeasibleInstance(f"{num_elements} elements but {num_edges} edges, "
                                  "so some element has degree 0")
-    return SetCoverInstance.from_edges(num_sets, num_elements, edges)
+    return _build_instance(num_sets, num_elements, sets, elems,
+                           lambda i: (int(tokens[3 * i + 1]), int(tokens[3 * i + 2])))
+
+
+def _edge_table(lines: list[str]):
+    """(set ids, element ids, tokens) when every line is ``e <set> <element>``
+    with the tag in its first column, else None."""
+    text = "\n".join(lines)
+    tokens = text.split()
+    n = len(lines)
+    # every line starts with a tag, the tags sit at every third token and the
+    # tokens between them are integers, so no line holds more or fewer than
+    # three tokens
+    if (len(tokens) != 3 * n or ("\n" + text).count("\ne") != n
+            or tokens[0::3].count("e") != n):
+        return None
+    try:
+        return _text_ids(tokens[1::3]), _text_ids(tokens[2::3]), tokens
+    except ValueError:
+        return None
+
+
+def _raise_bad_edge_line(lines: list[str]) -> None:
+    for line in lines:
+        parts = line.split()
+        if parts[0] != "e" or len(parts) != 3:
+            raise ParseError(f"bad edge line {line!r}; expected 'e <set> <element>'")
+        try:
+            int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"non-integer id in {line!r}") from exc
+    raise ParseError("malformed edge section")
 
 
 def serialize_instance(instance: SetCoverInstance) -> str:
@@ -156,33 +303,40 @@ def serialize_instance(instance: SetCoverInstance) -> str:
 def parse_hypergraph(text) -> Hypergraph:
     """Parse the ``p hg`` format.  A blank line in the edge section is an
     empty edge and is rejected."""
-    lines = _content_lines(text)
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    if not lines:
-        raise ParseError("empty input")
-    header = lines[0].split()
+    header_line, body = _header_and_body(text)
+    header = header_line.split()
     if len(header) != 4 or header[0] != "p" or header[1] != "hg":
-        raise ParseError(f"bad header {lines[0]!r}; expected 'p hg V E'")
+        raise ParseError(f"bad header {header_line!r}; expected 'p hg V E'")
     try:
         num_vertices, num_edges = int(header[2]), int(header[3])
     except ValueError as exc:
-        raise ParseError(f"non-integer header field in {lines[0]!r}") from exc
-    body = lines[1:]
+        raise ParseError(f"non-integer header field in {header_line!r}") from exc
     if len(body) < num_edges:
         raise ParseError(f"header promises {num_edges} edge lines, found {len(body)}")
-    if any(ln.strip() for ln in body[num_edges:]):
+    if any(line.strip() for line in body[num_edges:]):
         raise ParseError(f"unexpected content after {num_edges} edge lines")
-    edges = []
-    for ln in body[:num_edges]:
-        parts = ln.split()
+    lines = body[:num_edges]
+    sizes = list(map(len, map(str.split, lines)))
+    try:
+        ids = None if 0 in sizes else _text_ids("\n".join(lines).split())
+    except ValueError:
+        ids = None
+    if ids is None:
+        _raise_bad_vertex_line(lines)
+    return _build_hypergraph(num_vertices, ids, sizes,
+                             lambda i: [int(x) for x in lines[i].split()])
+
+
+def _raise_bad_vertex_line(lines: list[str]) -> None:
+    for line in lines:
+        parts = line.split()
         if not parts:
             raise EmptyEdge("blank line where an edge was expected")
         try:
-            edges.append([int(x) for x in parts])
+            [int(x) for x in parts]
         except ValueError as exc:
-            raise ParseError(f"non-integer vertex id in {ln!r}") from exc
-    return Hypergraph.from_edges(num_vertices, edges)
+            raise ParseError(f"non-integer vertex id in {line!r}") from exc
+    raise ParseError("malformed edge section")
 
 
 def serialize_hypergraph(hg: Hypergraph) -> str:
@@ -202,11 +356,11 @@ def generate_random_instance(num_sets: int, num_elements: int,
         raise ValueError(
             f"element_degree {element_degree} exceeds num_sets {num_sets}")
     rng = derive_rng(seed)
-    edges = []
-    for t in range(num_elements):
-        for s in rng.choice(num_sets, size=element_degree, replace=False):
-            edges.append((int(s), t))
-    return SetCoverInstance.from_edges(num_sets, num_elements, edges)
+    sets = np.array([rng.choice(num_sets, size=element_degree, replace=False)
+                     for _ in range(num_elements)], dtype=np.int64).reshape(-1)
+    elems = np.repeat(np.arange(num_elements), element_degree)
+    return _build_instance(num_sets, num_elements, sets, elems,
+                           lambda i: (int(sets[i]), int(elems[i])))
 
 
 def generate_random_hypergraph(num_vertices: int, num_edges: int, rank: int,
@@ -237,5 +391,9 @@ def generate_random_hypergraph(num_vertices: int, num_edges: int, rank: int,
 
 def to_hypergraph(instance: SetCoverInstance) -> Hypergraph:
     """Dual view: sets become vertices and each element becomes the hyperedge
-    of the sets containing it, so the rank equals the instance frequency."""
-    return Hypergraph.from_edges(instance.num_sets, instance.element_neighbors)
+    of the sets containing it, so the rank equals the instance frequency.
+    Element rows are already sorted, duplicate-free and in range."""
+    return Hypergraph(
+        num_vertices=instance.num_sets, edges=instance.element_neighbors,
+        rank=instance.freq,
+        avg_rank=instance.m / instance.num_elements if instance.num_elements else 0.0)

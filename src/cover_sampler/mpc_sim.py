@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -181,14 +182,14 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         i_lo = phase.start_step - phase.length + 1
         live_elements = int((~state.covered).sum())
         relevant = [t for i in range(i_lo, i_hi + 1) for t in buckets.get(i, ())
-                    if not state.covered[t]]
+                    if not state.covered_buf[t]]
         # relevant element u is node u; each live set touching one is the
         # next node after them
         adj: list[list[int]] = [[] for _ in relevant]
         set_node: dict[int, int] = {}
         for u, t in enumerate(relevant):
             for s in instance.element_neighbors[t]:
-                if not state.set_chosen[s]:
+                if not state.chosen_buf[s]:
                     if s not in set_node:
                         set_node[s] = len(adj)
                         adj.append([])
@@ -290,18 +291,17 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     pools = np.empty((sched.k + 1, instance.num_elements), dtype=bool)
     for row in pools:
         np.less(rng.random(instance.num_elements), q, out=row)
-    edge_sets = np.fromiter((s for s, adj in enumerate(instance.set_neighbors)
-                             for _ in adj), dtype=np.int64, count=instance.m)
-    edge_elems = np.fromiter((t for adj in instance.set_neighbors for t in adj),
-                             dtype=np.int64, count=instance.m)
     state = _SweepState(instance, CostCounters())
+    # the incidences of still uncovered elements, dropped as they get covered
+    edge_sets = np.repeat(np.arange(instance.num_sets), state.residual)
+    edge_elems = np.fromiter(chain.from_iterable(instance.set_neighbors),
+                             dtype=np.int64, count=instance.m)
     estimates = np.full(instance.num_sets, np.inf)
     for i in range(sched.k, -1, -1):
-        in_pool = pools[i] & ~state.covered
-        counts = np.bincount(edge_sets, weights=in_pool[edge_elems].astype(float),
+        counts = np.bincount(edge_sets[pools[i][edge_elems]],
                              minlength=instance.num_sets)
         estimates = np.minimum(estimates, counts / q)
-        trace.estimates_by_step.append(estimates.copy())
+        trace.estimates_by_step.append(estimates)
         eligible = ~state.set_chosen & (estimates >= threshold * (1.0 - 1e-9))
         ids = np.flatnonzero(eligible)
         if ids.size == 0:
@@ -315,6 +315,8 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
             true_sizes=tuple(int(t) for t in state.residual[sampled])))
         for s in sampled.tolist():
             state.commit(s, instance.set_neighbors[s])
+        live = ~state.covered[edge_elems]
+        edge_sets, edge_elems = edge_sets[live], edge_elems[live]
     return trace
 
 

@@ -49,7 +49,7 @@ def test_parse_rejects_element_count_before_allocating():
     "p sc 1 1",
     "p xx 1 1 1",
     "p sc 1 1 1\nx 0 0",
-    "p sc 1 1 1\ne 0 0\ne 0 0",   # count mismatch caught as duplicate
+    "p sc 1 1 1\ne 0 0\ne 0 0",   # two edges for one promised: a count mismatch
     "p sc 1 1 2\ne 0 0",
     "p sc 1 1 1\ne 1 0",
     "p sc 1 1 1\ne 0 1",
