@@ -11,14 +11,19 @@ Three solvers share one sampling law:
   within a level the same upfront bucketing applied to the candidate sets,
   with lazy downward rebucketing as sets shrink.
 
-All three commit through one step, `_SweepState.commit`, which also drives
-the phase simulator and the degree-estimation pass in ``mpc_sim``; it holds
-the one covered/chosen/residual bookkeeping.  Solvers are deterministic given
-(instance, eps, rng seed).
+All three commit through one engine, `_SweepState`, which also drives the
+phase simulator and the degree-estimation pass in ``mpc_sim``; it holds the
+one covered/chosen/residual bookkeeping.  Each step takes one of two paths,
+chosen from its batch size alone: a small batch walks the instance's tuple
+rows from Python, a large one gathers the instance's CSR ``indptr``/``indices``
+arrays with numpy.  Both paths charge the work counters from the same row
+lengths and leave the same state, so outputs and counters do not depend on
+the path.  Solvers are deterministic given (instance, eps, rng seed).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections import Counter, defaultdict
@@ -92,18 +97,46 @@ def _effective_eps(eps: float, calibrated: bool) -> float:
     return eps / 4.0 if calibrated else eps
 
 
+# Path crossovers, set by timing both paths on the m = 6e5 benchmark instance
+# and on the 100-instance acceptance corpus.  A batch of at least _VECTOR_MIN
+# items (a step's sampled elements, the sets visited at one hdelta step, the
+# sets of a cover to verify) and a commit walking at least _VECTOR_MIN_ENTRIES
+# row entries take the numpy path; smaller ones stay in Python, which has no
+# per-call overhead.  A commit counts entries because its Python cost grows
+# with row length.
+_VECTOR_MIN = 128
+_VECTOR_MIN_ENTRIES = 256
+
+
+def _gather(csr: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` of ``csr = (indptr, indices)``, concatenated in order."""
+    indptr, indices = csr
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    # output slot p of row r reads indices[starts[r] + p - (ends[r] - lengths[r])]
+    return indices[np.repeat(starts - ends + lengths, lengths) + np.arange(total)]
+
+
 class _SweepState:
     """The one commit engine: covered elements, chosen sets and residual set
     sizes, updated only by `commit`.  Every cover solver, the phase simulator
     and the degree-estimation pass commit through it, so the simulator
-    reproduces the plain sweep bit for bit."""
+    reproduces the plain sweep bit for bit.
+
+    `sweep_step` and `commit` pick their path per call from the batch size
+    (see ``_VECTOR_MIN``).  The Python path loops over the tuple rows through
+    the ``bytearray``/``array`` buffers.  The numpy path gathers the
+    instance's CSR arrays: the uncovered sampled elements' sets, then
+    ``np.unique`` of the unchosen ones, their rows, and the sets of the newly
+    covered elements for one ``bincount`` residual update, all through numpy
+    views of the same buffers.  Counters are charged from the gathered sizes.
+    """
 
     def __init__(self, instance: SetCoverInstance, counters: CostCounters):
         self.instance = instance
         self.counters = counters
-        # Loops read and write single entries through the buffers, which
-        # skips numpy's per-element overhead; the numpy views share their
-        # memory for the vector readers.
         self.covered_buf = bytearray(instance.num_elements)
         self.chosen_buf = bytearray(instance.num_sets)
         self.residual_buf = array("q", map(len, instance.set_neighbors))
@@ -112,41 +145,83 @@ class _SweepState:
         self.residual = np.frombuffer(self.residual_buf, dtype=np.int64)
         self.chosen: list[int] = []
 
-    def commit(self, s: int, elements) -> None:
-        """Choose set ``s`` and cover ``elements``, the part of it the caller
-        walks; each newly covered element shrinks its sets' residuals once."""
+    def commit(self, sets, walked: int | None = None) -> None:
+        """Choose ``sets`` (distinct and unchosen; a list or an int array)
+        and cover their rows; each newly covered element shrinks its sets'
+        residuals once.  ``walked``, the number of row entries the caller
+        reads (all of them by default), is charged once to edge and element
+        touches."""
+        inst = self.instance
+        if isinstance(sets, list):
+            # rows too few to reach the crossover are not counted first
+            vector = (len(sets) * inst.delta >= _VECTOR_MIN_ENTRIES
+                      and sum(map(len, map(inst.set_neighbors.__getitem__, sets)))
+                      >= _VECTOR_MIN_ENTRIES)
+        else:
+            indptr = inst.set_csr[0]
+            vector = (indptr[sets + 1] - indptr[sets]).sum() >= _VECTOR_MIN_ENTRIES
+            sets = sets if vector else sets.tolist()
+        if vector:
+            sets = np.asarray(sets, dtype=np.int64)
+            self.set_chosen[sets] = True
+            self.chosen.extend(sets.tolist())
+            elements = _gather(inst.set_csr, sets)
+            entries = elements.size
+            fresh = np.unique(elements[~self.covered[elements]])
+            self.covered[fresh] = True
+            hit = _gather(inst.element_csr, fresh)
+            self.residual -= np.bincount(hit, minlength=inst.num_sets)
+        else:
+            set_neighbors, element_neighbors = inst.set_neighbors, inst.element_neighbors
+            covered, chosen, residual = self.covered_buf, self.chosen_buf, self.residual_buf
+            self.chosen.extend(sets)
+            entries = 0
+            for s in sets:
+                chosen[s] = 1
+                row = set_neighbors[s]
+                entries += len(row)
+                for t in row:
+                    if not covered[t]:
+                        covered[t] = 1
+                        for s2 in element_neighbors[t]:
+                            residual[s2] -= 1
+        if walked is None:
+            walked = entries
         c = self.counters
-        self.chosen_buf[s] = 1
-        self.chosen.append(s)
-        c.edge_touches += len(elements)
-        c.element_touches += len(elements)
-        covered, residual = self.covered_buf, self.residual_buf
-        element_neighbors = self.instance.element_neighbors
-        for t in elements:
-            if not covered[t]:
-                covered[t] = 1
-                for s2 in element_neighbors[t]:
-                    residual[s2] -= 1
+        c.edge_touches += walked
+        c.element_touches += walked
 
     def sweep_step(self, element_ids) -> None:
-        """Process one step's batch of sampled elements (simultaneously: the
-        batch is fixed before any of its coverage takes effect)."""
+        """Process one step's batch of sampled elements, a list or an int
+        array (simultaneously: the batch is fixed before any of its coverage
+        takes effect)."""
         c = self.counters
         c.steps_executed += 1
+        n = len(element_ids)
+        c.element_touches += n
         inst = self.instance
+        if n >= _VECTOR_MIN:
+            ids = np.asarray(element_ids)
+            sets = _gather(inst.element_csr, ids[~self.covered[ids]])
+            c.edge_touches += sets.size
+            c.set_touches += sets.size
+            self.commit(np.unique(sets[~self.set_chosen[sets]]))
+            return
+        if isinstance(element_ids, np.ndarray):
+            element_ids = element_ids.tolist()
         covered, chosen = self.covered_buf, self.chosen_buf
         batch: dict[int, None] = {}
         for t in element_ids:
-            c.element_touches += 1
             if covered[t]:
                 continue
-            c.edge_touches += len(inst.element_neighbors[t])
-            for s in inst.element_neighbors[t]:
-                c.set_touches += 1
+            row = inst.element_neighbors[t]
+            c.edge_touches += len(row)
+            c.set_touches += len(row)
+            for s in row:
                 if not chosen[s]:
                     batch[s] = None
-        for s in batch:
-            self.commit(s, inst.set_neighbors[s])
+        if batch:
+            self.commit(list(batch))
 
     def cover(self) -> Cover:
         return Cover(tuple(sorted(self.chosen)))
@@ -191,7 +266,7 @@ def f_approx_online(instance: SetCoverInstance, eps: float,
             sampled = live_ids
         else:
             sampled = np.sort(rng.choice(live_ids, size=cnt, replace=False))
-        state.sweep_step(sampled.tolist())
+        state.sweep_step(sampled)
     return state.cover(), counters
 
 
@@ -235,6 +310,10 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     """Size-threshold solver: walk size levels j from the largest down; within
     a level, sets whose estimated residual size still reaches (1+eps)^j are
     committed at their pre-drawn step, smaller ones drop to a lower level.
+
+    A visit reads a set's residual size from the commit engine and is charged
+    1 + the size read at the set's previous visit (its whole row at the
+    first), the length of the residual list a scan would walk.
     """
     eff = _effective_eps(eps, calibrated)
     counters = CostCounters()
@@ -246,69 +325,96 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     log_base = math.log1p(eff)
     level_cap = guarded_floor(math.log(instance.delta) / log_base)
 
-    packed: list[list[int]] = [list(a) for a in instance.set_neighbors]
     state = _SweepState(instance, counters)
-    covered = state.covered_buf
-
+    covered, residual = state.covered_buf, state.residual_buf
+    seen_buf = array("q", residual)
+    seen = np.frombuffer(seen_buf, dtype=np.int64)
     levels: dict[int, list[int]] = defaultdict(list)
-    for s, adj in enumerate(instance.set_neighbors):
-        if adj:
-            levels[min(guarded_floor(math.log(len(adj)) / log_base), level_cap)].append(s)
+    # the size level of each estimate, from math.log (numpy's log can differ
+    # in the last bit), once per distinct estimate
+    level_of = functools.cache(lambda e: guarded_floor(math.log(e) / log_base))
+    for s, n in enumerate(residual):
+        if n:
+            levels[min(level_of(n), level_cap)].append(s)
 
     for j in range(level_cap, -1, -1):
         members = levels.pop(j, [])
         if not members:
             continue
+        member_ids = np.array(members) if len(members) >= _VECTOR_MIN else None
         threshold = (1.0 + eff) ** j
         step_groups = buckets_by_step(sample_alias(table, rng, size=len(members)))
         for i in sorted(step_groups, reverse=True):
             counters.steps_executed += 1
-            batch: list[int] = []
-            for idx in step_groups[i]:
-                s = members[idx]
-                before = len(packed[s])
-                counters.set_touches += 1 + before
-                counters.edge_touches += before
-                packed[s] = [t for t in packed[s] if not covered[t]]
-                size = len(packed[s])
-                if size == 0:
-                    continue
-                estimate = oracle.estimate(s, size)
-                if meets_threshold(estimate, threshold):
-                    batch.append(s)
-                else:
-                    new_level = min(guarded_floor(math.log(estimate) / log_base), j - 1)
-                    levels[max(new_level, 0)].append(s)
-                    counters.rebucket_events += 1
+            group = step_groups[i]
+            if len(group) >= _VECTOR_MIN:
+                ids = member_ids[group]
+                before = int(seen[ids].sum())
+                sizes = state.residual[ids]
+                seen[ids] = sizes
+                live = sizes > 0
+                ids, sizes = ids[live], sizes[live]
+                estimates = np.array([oracle.estimate(s, n) for s, n in
+                                      zip(ids.tolist(), sizes.tolist())], dtype=np.float64)
+                meets = meets_threshold(estimates, threshold)
+                batch, batch_sizes = ids[meets].tolist(), sizes[meets].tolist()
+                drop = ids[~meets].tolist()
+                counters.rebucket_events += len(drop)
+                for s, e in zip(drop, estimates[~meets].tolist()):
+                    levels[max(min(level_of(e), j - 1), 0)].append(s)
+            else:
+                before = 0
+                batch, batch_sizes = [], []
+                for idx in group:
+                    s = members[idx]
+                    before += seen_buf[s]
+                    size = seen_buf[s] = residual[s]
+                    if size == 0:
+                        continue
+                    estimate = oracle.estimate(s, size)
+                    if meets_threshold(estimate, threshold):
+                        batch.append(s)
+                        batch_sizes.append(size)
+                    else:
+                        counters.rebucket_events += 1
+                        levels[max(min(level_of(estimate), j - 1), 0)].append(s)
+            counters.set_touches += len(group) + before
+            counters.edge_touches += before
             if not batch:
                 continue
             if batch_log is not None:
                 live_mask = ~state.set_chosen
                 max_live = int(state.residual[live_mask].max()) if live_mask.any() else 0
-                # every packed list in the batch was filtered before the
-                # batch commits, so this counts each newly covered element
-                # once per batch set that covers it
+                # coverage has not moved since the batch was read, so this
+                # counts each newly covered element once per batch set that
+                # covers it
+                covering = Counter(t for s in batch for t in instance.set_neighbors[s]
+                                   if not covered[t])
                 batch_log.append(BatchRecord(
                     level=j, step=i, set_ids=tuple(batch),
-                    min_committed_size=min(len(packed[s]) for s in batch),
-                    max_live_size=max_live,
-                    cover_multiplicities=tuple(
-                        Counter(t for s in batch for t in packed[s]).values())))
-            for s in batch:
-                state.commit(s, packed[s])
+                    min_committed_size=min(batch_sizes), max_live_size=max_live,
+                    cover_multiplicities=tuple(covering.values())))
+            state.commit(batch, sum(batch_sizes))
     return state.cover(), counters
 
 
 def verify_cover(instance: SetCoverInstance, cover: Cover) -> tuple[bool, int | None]:
     """True when the chosen sets cover every element; otherwise False plus the
     lowest uncovered element id."""
-    covered = np.zeros(instance.num_elements, dtype=bool)
-    for s in cover.chosen_sets:
+    chosen = cover.chosen_sets
+    for s in chosen:
         if not (0 <= s < instance.num_sets):
             raise ValueError(f"set id {s} out of range")
-        for t in instance.set_neighbors[s]:
-            covered[t] = True
-    missing = np.flatnonzero(~covered)
-    if missing.size:
-        return False, int(missing[0])
-    return True, None
+    covered = bytearray(instance.num_elements)
+    if len(chosen) >= _VECTOR_MIN:
+        # one gather of the chosen rows, through a mask over the incidences
+        rows = np.zeros(instance.num_sets, dtype=bool)
+        rows[np.fromiter(chosen, dtype=np.int64, count=len(chosen))] = True
+        indptr, indices = instance.set_csr
+        np.frombuffer(covered, dtype=bool)[indices[np.repeat(rows, np.diff(indptr))]] = True
+    else:
+        for s in chosen:
+            for t in instance.set_neighbors[s]:
+                covered[t] = 1
+    missing = covered.find(0)
+    return (True, None) if missing < 0 else (False, missing)

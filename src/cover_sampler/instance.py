@@ -9,13 +9,16 @@ Text formats (line based, 0-based ids, ``c`` lines are comments):
   edge listing its vertex ids.
 
 Both builders check and sort whole id columns with numpy; the stored rows are
-tuples cut from one ``tolist()`` per side.
+tuples cut from one ``tolist()`` per side.  A set-cover instance also offers
+both sides in CSR form (``indptr``/``indices`` arrays) for the numpy paths of
+the solvers.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
@@ -25,6 +28,7 @@ from .errors import EmptyEdge, InfeasibleInstance, ParseError
 from .util import derive_rng
 
 _INT64_MAX = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,9 @@ class SetCoverInstance:
 
     ``delta`` is the largest set size, ``freq`` the largest number of sets any
     single element belongs to, and ``m`` the total number of incidences.
+    ``set_csr`` and ``element_csr`` hold the same rows as read-only
+    ``(indptr, indices)`` arrays; they are not fields, so ``==``, ``hash`` and
+    ``repr`` ignore them.
     """
 
     num_sets: int
@@ -56,6 +63,30 @@ class SetCoverInstance:
         ids = _id_array(list(chain.from_iterable(edges)))
         return _build_instance(num_sets, num_elements, ids[0::2], ids[1::2],
                                edges.__getitem__)
+
+    @cached_property
+    def set_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``s`` of the set side is ``indices[indptr[s]:indptr[s + 1]]``."""
+        return _csr(self.set_neighbors, self)
+
+    @cached_property
+    def element_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``t`` of the element side is ``indices[indptr[t]:indptr[t + 1]]``."""
+        return _csr(self.element_neighbors, self)
+
+
+def _csr(rows, instance: SetCoverInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR arrays of tuple rows, int32 when every id and offset
+    fits."""
+    big = max(instance.num_sets, instance.num_elements, instance.m)
+    dtype = np.int32 if big <= _INT32_MAX else np.int64
+    indptr = np.zeros(len(rows) + 1, dtype=dtype)
+    np.add.accumulate(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+                      out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=instance.m)
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
 
 
 def _build_instance(num_sets: int, num_elements: int, sets: np.ndarray,
@@ -139,13 +170,14 @@ def _id_array(values: list) -> np.ndarray:
     return np.array([_clamp(int(v)) for v in values], dtype=np.int64)
 
 
-def _text_ids(tokens: list[str]) -> np.ndarray:
-    """int64 array of the ids ``int()`` reads from ``tokens``; raises
-    ValueError for a token that is not an integer."""
+def _text_ids(tokens: list[str]) -> tuple[np.ndarray, bool]:
+    """int64 array of the ids ``int()`` reads from ``tokens``, and whether an
+    id beyond int64 was stored as -1; raises ValueError for a token that is
+    not an integer."""
     try:
-        return np.array(tokens, dtype=np.int64)
+        return np.array(tokens, dtype=np.int64), False
     except OverflowError:
-        return np.array([_clamp(int(x)) for x in tokens], dtype=np.int64)
+        return np.array([_clamp(int(x)) for x in tokens], dtype=np.int64), True
 
 
 @dataclass(frozen=True)
@@ -173,11 +205,8 @@ class Hypergraph:
                                  edges.__getitem__)
 
     def max_vertex_degree(self) -> int:
-        deg = [0] * self.num_vertices
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return max(deg, default=0)
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64)
+        return int(np.bincount(flat, minlength=self.num_vertices).max(initial=0))
 
 
 def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: list[int],
@@ -245,6 +274,21 @@ def parse_instance(text) -> SetCoverInstance:
         num_sets, num_elements, num_edges = (int(x) for x in header[2:])
     except ValueError as exc:
         raise ParseError(f"non-integer header field in {header_line!r}") from exc
+    sets, elems, edge_at = _edge_columns(body)
+    # the lines go before the build allocates the rows
+    del body
+    if sets.size != num_edges:
+        raise ParseError(f"header promises {num_edges} edges, found {sets.size}")
+    # checked before the build allocates per-element arrays
+    if num_elements > num_edges:
+        raise InfeasibleInstance(f"{num_elements} elements but {num_edges} edges, "
+                                 "so some element has degree 0")
+    return _build_instance(num_sets, num_elements, sets, elems, edge_at)
+
+
+def _edge_columns(body: list[str]):
+    """(set ids, element ids, edge_at) of the edge lines; ``edge_at`` keeps
+    the tokens only when the columns do not hold every id as written."""
     table = _edge_table(body)
     if table is None:
         lines = [line for line in body if line.strip()]
@@ -252,19 +296,16 @@ def parse_instance(text) -> SetCoverInstance:
         if table is None:
             _raise_bad_edge_line(lines)
     sets, elems, tokens = table
-    if sets.size != num_edges:
-        raise ParseError(f"header promises {num_edges} edges, found {sets.size}")
-    # checked before the build allocates per-element arrays
-    if num_elements > num_edges:
-        raise InfeasibleInstance(f"{num_elements} elements but {num_edges} edges, "
-                                 "so some element has degree 0")
-    return _build_instance(num_sets, num_elements, sets, elems,
-                           lambda i: (int(tokens[3 * i + 1]), int(tokens[3 * i + 2])))
+    if tokens is not None:
+        return sets, elems, lambda i: (int(tokens[3 * i + 1]), int(tokens[3 * i + 2]))
+    return sets, elems, lambda i: (int(sets[i]), int(elems[i]))
 
 
 def _edge_table(lines: list[str]):
     """(set ids, element ids, tokens) when every line is ``e <set> <element>``
-    with the tag in its first column, else None."""
+    with the tag in its first column, else None.  The tokens are returned
+    only when an id beyond int64 was stored as -1; otherwise the columns hold
+    every id as written."""
     text = "\n".join(lines)
     tokens = text.split()
     n = len(lines)
@@ -275,9 +316,11 @@ def _edge_table(lines: list[str]):
             or tokens[0::3].count("e") != n):
         return None
     try:
-        return _text_ids(tokens[1::3]), _text_ids(tokens[2::3]), tokens
+        (sets, set_clamped), (elems, elem_clamped) = (_text_ids(tokens[1::3]),
+                                                      _text_ids(tokens[2::3]))
     except ValueError:
         return None
+    return sets, elems, tokens if set_clamped or elem_clamped else None
 
 
 def _raise_bad_edge_line(lines: list[str]) -> None:
@@ -318,7 +361,7 @@ def parse_hypergraph(text) -> Hypergraph:
     lines = body[:num_edges]
     sizes = list(map(len, map(str.split, lines)))
     try:
-        ids = None if 0 in sizes else _text_ids("\n".join(lines).split())
+        ids = None if 0 in sizes else _text_ids("\n".join(lines).split())[0]
     except ValueError:
         ids = None
     if ids is None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -258,7 +257,6 @@ class DegreeEstimationTrace:
     q: float
     k: int
     batches: list[DegreeBatch] = field(default_factory=list)
-    estimates_by_step: list[np.ndarray] = field(default_factory=list)
 
 
 def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
@@ -294,14 +292,12 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     state = _SweepState(instance, CostCounters())
     # the incidences of still uncovered elements, dropped as they get covered
     edge_sets = np.repeat(np.arange(instance.num_sets), state.residual)
-    edge_elems = np.fromiter(chain.from_iterable(instance.set_neighbors),
-                             dtype=np.int64, count=instance.m)
+    edge_elems = instance.set_csr[1]
     estimates = np.full(instance.num_sets, np.inf)
     for i in range(sched.k, -1, -1):
         counts = np.bincount(edge_sets[pools[i][edge_elems]],
                              minlength=instance.num_sets)
         estimates = np.minimum(estimates, counts / q)
-        trace.estimates_by_step.append(estimates)
         eligible = ~state.set_chosen & (estimates >= threshold * (1.0 - 1e-9))
         ids = np.flatnonzero(eligible)
         if ids.size == 0:
@@ -313,8 +309,7 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
             step=i, set_ids=tuple(int(s) for s in sampled),
             estimates=tuple(float(estimates[s]) for s in sampled),
             true_sizes=tuple(int(t) for t in state.residual[sampled])))
-        for s in sampled.tolist():
-            state.commit(s, instance.set_neighbors[s])
+        state.commit(sampled)
         live = ~state.covered[edge_elems]
         edge_sets, edge_elems = edge_sets[live], edge_elems[live]
     return trace

@@ -1,0 +1,235 @@
+"""The per-incidence Python implementations the solvers, the phase simulator
+and the degree-estimation pass replaced, kept as references: each walks every
+incidence and charges every counter one visit at a time."""
+
+import math
+from collections import Counter, defaultdict
+
+import numpy as np
+
+from cover_sampler.cover import BatchRecord, Cover, CostCounters, ExactSize, draw_buckets
+from cover_sampler.mpc_sim import DegreeBatch, MpcReport, PhaseRecord, _max_ball_size, plan_phases
+from cover_sampler.schedule import (alias_for_schedule, probabilities, sample_alias,
+                                    schedule_for_frequency, schedule_for_max_size)
+from cover_sampler.util import guarded_floor, meets_threshold
+
+
+class RefState:
+    def __init__(self, instance, counters):
+        self.instance = instance
+        self.counters = counters
+        self.covered = [False] * instance.num_elements
+        self.set_chosen = [False] * instance.num_sets
+        self.residual = [len(a) for a in instance.set_neighbors]
+        self.chosen = []
+
+    def commit(self, s, elements):
+        c = self.counters
+        self.set_chosen[s] = True
+        self.chosen.append(s)
+        c.edge_touches += len(elements)
+        c.element_touches += len(elements)
+        for t in elements:
+            if not self.covered[t]:
+                self.covered[t] = True
+                for s2 in self.instance.element_neighbors[t]:
+                    self.residual[s2] -= 1
+
+    def sweep_step(self, element_ids):
+        c = self.counters
+        c.steps_executed += 1
+        inst = self.instance
+        batch = {}
+        for t in element_ids:
+            c.element_touches += 1
+            if self.covered[t]:
+                continue
+            c.edge_touches += len(inst.element_neighbors[t])
+            for s in inst.element_neighbors[t]:
+                c.set_touches += 1
+                if not self.set_chosen[s]:
+                    batch[s] = None
+        for s in batch:
+            self.commit(s, inst.set_neighbors[s])
+
+    def max_live(self):
+        return max((r for r, ch in zip(self.residual, self.set_chosen) if not ch), default=0)
+
+    def cover(self):
+        return Cover(tuple(sorted(self.chosen)))
+
+
+def ref_buckets(assignment):
+    buckets = defaultdict(list)
+    for t, x in enumerate(assignment.tolist()):
+        buckets[x].append(t)
+    return buckets
+
+
+def ref_online(instance, eps, rng, calibrated=False):
+    eff = eps / 4.0 if calibrated else eps
+    counters = CostCounters()
+    if instance.num_elements == 0:
+        return Cover(()), counters
+    sched = schedule_for_max_size(instance.delta, eff)
+    p = probabilities(sched)
+    state = RefState(instance, counters)
+    live_ids = np.arange(instance.num_elements)
+    for i in range(sched.k, -1, -1):
+        live_ids = live_ids[~np.array(state.covered, dtype=bool)[live_ids]]
+        n_live = live_ids.size
+        if n_live == 0:
+            break
+        cnt = n_live if p[i] >= 1.0 else int(rng.binomial(n_live, p[i]))
+        if cnt == 0:
+            counters.steps_executed += 1
+            continue
+        if cnt == n_live:
+            sampled = live_ids
+        else:
+            sampled = np.sort(rng.choice(live_ids, size=cnt, replace=False))
+        state.sweep_step(sampled.tolist())
+    return state.cover(), counters
+
+
+def ref_bucketed(instance, eps, rng, calibrated=False):
+    eff = eps / 4.0 if calibrated else eps
+    counters = CostCounters()
+    if instance.num_elements == 0:
+        return Cover(()), counters
+    sched = schedule_for_max_size(instance.delta, eff)
+    buckets = ref_buckets(draw_buckets(instance, sched, rng))
+    state = RefState(instance, counters)
+    for i in sorted(buckets, reverse=True):
+        state.sweep_step(buckets[i])
+    return state.cover(), counters
+
+
+def ref_hdelta(instance, eps, rng, size_oracle=None, calibrated=False, batch_log=None):
+    eff = eps / 4.0 if calibrated else eps
+    counters = CostCounters()
+    if instance.num_elements == 0:
+        return Cover(()), counters
+    oracle = size_oracle if size_oracle is not None else ExactSize()
+    sched = schedule_for_frequency(instance.freq, eff)
+    table = alias_for_schedule(sched)
+    log_base = math.log1p(eff)
+    level_cap = guarded_floor(math.log(instance.delta) / log_base)
+    packed = [list(a) for a in instance.set_neighbors]
+    state = RefState(instance, counters)
+    levels = defaultdict(list)
+    for s, adj in enumerate(instance.set_neighbors):
+        if adj:
+            levels[min(guarded_floor(math.log(len(adj)) / log_base), level_cap)].append(s)
+    for j in range(level_cap, -1, -1):
+        members = levels.pop(j, [])
+        if not members:
+            continue
+        threshold = (1.0 + eff) ** j
+        step_groups = ref_buckets(sample_alias(table, rng, size=len(members)))
+        for i in sorted(step_groups, reverse=True):
+            counters.steps_executed += 1
+            batch = []
+            for idx in step_groups[i]:
+                s = members[idx]
+                before = len(packed[s])
+                counters.set_touches += 1 + before
+                counters.edge_touches += before
+                packed[s] = [t for t in packed[s] if not state.covered[t]]
+                size = len(packed[s])
+                if size == 0:
+                    continue
+                estimate = oracle.estimate(s, size)
+                if meets_threshold(estimate, threshold):
+                    batch.append(s)
+                else:
+                    new_level = min(guarded_floor(math.log(estimate) / log_base), j - 1)
+                    levels[max(new_level, 0)].append(s)
+                    counters.rebucket_events += 1
+            if not batch:
+                continue
+            if batch_log is not None:
+                batch_log.append(BatchRecord(
+                    level=j, step=i, set_ids=tuple(batch),
+                    min_committed_size=min(len(packed[s]) for s in batch),
+                    max_live_size=state.max_live(),
+                    cover_multiplicities=tuple(
+                        Counter(t for s in batch for t in packed[s]).values())))
+            for s in batch:
+                state.commit(s, packed[s])
+    return state.cover(), counters
+
+
+def ref_mpc(instance, eps, rng):
+    report = MpcReport()
+    if instance.num_elements == 0:
+        return Cover(()), report
+    sched = schedule_for_max_size(instance.delta, eps)
+    p = probabilities(sched)
+    buckets = ref_buckets(draw_buckets(instance, sched, rng))
+    plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
+                       instance.num_sets + instance.num_elements)
+    state = RefState(instance, report.counters)
+    rounds = 0
+    for idx, phase in enumerate(plan.phases):
+        i_hi = phase.start_step
+        i_lo = phase.start_step - phase.length + 1
+        live_elements = state.covered.count(False)
+        relevant = [t for i in range(i_lo, i_hi + 1) for t in buckets.get(i, ())
+                    if not state.covered[t]]
+        adj = [[] for _ in relevant]
+        set_node = {}
+        for u, t in enumerate(relevant):
+            for s in instance.element_neighbors[t]:
+                if not state.set_chosen[s]:
+                    if s not in set_node:
+                        set_node[s] = len(adj)
+                        adj.append([])
+                    adj[u].append(set_node[s])
+                    adj[set_node[s]].append(u)
+        max_ball = _max_ball_size(adj, phase.length)
+        for i in range(i_hi, i_lo - 1, -1):
+            if buckets.get(i):
+                state.sweep_step(buckets[i])
+        rounds += phase.rounds
+        report.phases.append(PhaseRecord(
+            index=idx, case_tag=phase.case_tag, start_step=i_hi, end_step=i_lo,
+            length=phase.length, p_start=float(p[i_hi]), p_end=float(p[i_lo]),
+            live_elements=live_elements, relevant_elements=len(relevant),
+            nonisolated_sets=len(set_node), max_ball=max_ball,
+            residual_degree_after=state.max_live(), cumulative_rounds=rounds))
+    report.simulated_rounds = rounds
+    return state.cover(), report
+
+
+def ref_degree_estimation(instance, eps, level, rng):
+    """Batches, plus every step's estimate array, from per-set loops."""
+    sched = schedule_for_frequency(max(instance.freq, 1), eps)
+    p = probabilities(sched)
+    threshold = (1.0 + eps) ** level
+    q = min(100.0 / eps ** 2 * math.log(max(instance.num_sets + instance.num_elements, 2))
+            / threshold, 1.0)
+    pools = [rng.random(instance.num_elements) < q for _ in range(sched.k + 1)]
+    state = RefState(instance, CostCounters())
+    estimates = [math.inf] * instance.num_sets
+    batches, series = [], []
+    for i in range(sched.k, -1, -1):
+        for s, row in enumerate(instance.set_neighbors):
+            hits = sum(1 for t in row if not state.covered[t] and pools[i][t])
+            estimates[s] = min(estimates[s], hits / q)
+        series.append(list(estimates))
+        ids = [s for s in range(instance.num_sets) if not state.set_chosen[s]
+               and estimates[s] >= threshold * (1.0 - 1e-9)]
+        if not ids:
+            continue
+        coins = rng.random(len(ids))
+        sampled = [s for s, x in zip(ids, coins) if x < p[i]]
+        if not sampled:
+            continue
+        batches.append(DegreeBatch(
+            step=i, set_ids=tuple(sampled),
+            estimates=tuple(estimates[s] for s in sampled),
+            true_sizes=tuple(state.residual[s] for s in sampled)))
+        for s in sampled:
+            state.commit(s, instance.set_neighbors[s])
+    return batches, series

@@ -1,0 +1,198 @@
+"""The cover solvers, the phase simulator and the degree-estimation pass
+against the per-incidence Python implementations they replaced: equal covers,
+all five work counters, batch logs, phase records and degree batches, with
+the numpy/Python path crossovers at their defaults, forced to the numpy path
+(0) and forced to the Python path (huge).  The references live in
+``_reference.py``."""
+
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+from _reference import (ref_bucketed, ref_degree_estimation, ref_hdelta, ref_mpc,
+                        ref_online)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cover_sampler import cover
+from cover_sampler.cover import (Cover, NoisyExactSize, f_approx_bucketed, f_approx_online,
+                                 hdelta_cover, verify_cover)
+from cover_sampler.instance import Hypergraph, SetCoverInstance, generate_random_instance
+from cover_sampler.mpc_sim import simulate_degree_estimation, simulate_mpc_f_approx
+from cover_sampler.util import derive_rng
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+CROSSOVERS = {"default": None, "numpy": 0, "python": 10 ** 9}
+# sqrt(2) - 1: (1 + eps)^(2j) = 2^j, so sets of size 2^j sit on level boundaries
+BOUNDARY_EPS = 2 ** 0.5 - 1
+EPS = [0.1, 0.25, 0.5, BOUNDARY_EPS]
+
+
+# --- helpers ----------------------------------------------------------------------------
+
+def crossover(mp, name):
+    value = CROSSOVERS[name]
+    if value is not None:
+        mp.setattr(cover, "_VECTOR_MIN", value)
+        mp.setattr(cover, "_VECTOR_MIN_ENTRIES", value)
+
+
+def solver_outcomes(inst, eps, seed, online, bucketed, hdelta):
+    out = {}
+    for calibrated in (False, True):
+        for name, fn in (("online", online), ("bucketed", bucketed)):
+            c, counters = fn(inst, eps, derive_rng(seed), calibrated=calibrated)
+            out[name, calibrated] = (c, astuple(counters))
+        log = []
+        c, counters = hdelta(inst, eps, derive_rng(seed), calibrated=calibrated,
+                             batch_log=log)
+        out["hdelta", calibrated] = (c, astuple(counters), log)
+    rng = derive_rng(seed, 1)
+    log = []
+    c, counters = hdelta(inst, eps, rng, size_oracle=NoisyExactSize(0.3, rng), batch_log=log)
+    out["hdelta-noisy"] = (c, astuple(counters), log)
+    return out
+
+
+def assert_all_equal(inst, eps, seed, mode):
+    expected = solver_outcomes(inst, eps, seed, ref_online, ref_bucketed, ref_hdelta)
+    ref_cover, ref_report = ref_mpc(inst, eps, derive_rng(seed, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        crossover(mp, mode)
+        got = solver_outcomes(inst, eps, seed, f_approx_online, f_approx_bucketed,
+                              hdelta_cover)
+        mpc_cover, report = simulate_mpc_f_approx(inst, eps, derive_rng(seed, 2))
+    for key in expected:
+        assert got[key] == expected[key], key
+    assert mpc_cover == ref_cover
+    assert report == ref_report
+
+
+@st.composite
+def instances(draw):
+    num_sets = draw(st.integers(1, 30))
+    num_elements = draw(st.integers(0, 120))
+    max_freq = draw(st.integers(1, min(num_sets, 5)))
+    rows = [draw(st.sets(st.integers(0, num_sets - 1), min_size=1, max_size=max_freq))
+            for _ in range(num_elements)]
+    return SetCoverInstance.from_edges(
+        num_sets, num_elements, [(s, t) for t, row in enumerate(rows) for s in row])
+
+
+# --- equivalence ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", list(CROSSOVERS))
+@SETTINGS
+@given(instances(), st.sampled_from(EPS), st.integers(0, 2 ** 16))
+def test_solvers_match_reference(mode, inst, eps, seed):
+    assert_all_equal(inst, eps, seed, mode)
+
+
+@pytest.mark.parametrize("mode", list(CROSSOVERS))
+@pytest.mark.parametrize("eps", EPS)
+def test_solvers_match_reference_on_larger_instances(mode, eps):
+    # steps of hundreds of elements and sets, so the default crossovers mix
+    # both paths within one solve
+    for inst_seed, shape in ((1, (300, 3000, 3)), (2, (40, 4000, 4))):
+        inst = generate_random_instance(*shape, seed=inst_seed)
+        assert_all_equal(inst, eps, inst_seed, mode)
+
+
+@pytest.mark.parametrize("mode", list(CROSSOVERS))
+def test_level_boundary_sizes_match_reference(mode):
+    # disjoint sets of sizes 2^0..2^7 plus sets straddling them: at eps =
+    # sqrt(2) - 1 every 2^j sits exactly on a level boundary
+    edges, start = [], 0
+    for j in range(8):
+        edges += [(j, t) for t in range(start, start + 2 ** j)]
+        start += 2 ** j
+    edges += [(8 + j, t) for j in range(4) for t in range(j, start, 4 + j)]
+    inst = SetCoverInstance.from_edges(12, start, edges)
+    assert [len(inst.set_neighbors[j]) for j in range(8)] == [2 ** j for j in range(8)]
+    for seed in range(12):
+        assert_all_equal(inst, BOUNDARY_EPS, seed, mode)
+
+
+class HalfUpSize:
+    """An oracle that is not one of the built-in ones, asked set by set on
+    both paths."""
+
+    def estimate(self, set_id, residual_size):
+        return residual_size + 0.5 * (set_id % 2)
+
+
+@pytest.mark.parametrize("mode", list(CROSSOVERS))
+def test_other_oracle_matches_reference(mode):
+    inst = generate_random_instance(300, 3000, 3, seed=4)
+    for eps in (0.1, 0.5):
+        ref_log, log = [], []
+        expected = ref_hdelta(inst, eps, derive_rng(7), size_oracle=HalfUpSize(),
+                              batch_log=ref_log)
+        with pytest.MonkeyPatch.context() as mp:
+            crossover(mp, mode)
+            got = hdelta_cover(inst, eps, derive_rng(7), size_oracle=HalfUpSize(),
+                               batch_log=log)
+        assert got == expected and log == ref_log
+
+
+@pytest.mark.parametrize("mode", list(CROSSOVERS))
+@pytest.mark.parametrize("shape,eps,level", [((8, 30, 3), 0.5, 0), ((8, 30, 3), 0.5, 4),
+                                             ((24, 200, 3), 0.25, 2), ((60, 900, 3), 0.5, 3)])
+def test_degree_estimation_matches_reference(mode, shape, eps, level):
+    inst = generate_random_instance(*shape, seed=shape[0])
+    for seed in range(3):
+        expected, _ = ref_degree_estimation(inst, eps, level, derive_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            crossover(mp, mode)
+            trace = simulate_degree_estimation(inst, eps, level, derive_rng(seed))
+        assert trace.batches == expected
+
+
+@pytest.mark.parametrize("mode", list(CROSSOVERS))
+@SETTINGS
+@given(instances(), st.data())
+def test_verify_cover_matches_reference(mode, inst, data):
+    chosen = data.draw(st.lists(st.integers(0, inst.num_sets - 1), unique=True))
+    covered = {t for s in chosen for t in inst.set_neighbors[s]}
+    missing = [t for t in range(inst.num_elements) if t not in covered]
+    with pytest.MonkeyPatch.context() as mp:
+        crossover(mp, mode)
+        got = verify_cover(inst, Cover(tuple(chosen)))
+        bad = data.draw(st.sampled_from([-1, inst.num_sets, 2 ** 70]))
+        at = data.draw(st.integers(0, len(chosen)))
+        with pytest.raises(ValueError, match=f"set id {bad} out of range"):
+            verify_cover(inst, Cover(tuple(chosen[:at] + [bad] + chosen[at:])))
+    assert got == ((False, missing[0]) if missing else (True, None))
+
+
+@SETTINGS
+@given(st.integers(0, 12), st.lists(st.sets(st.integers(0, 11), min_size=1), max_size=10))
+def test_max_vertex_degree_matches_loop(num_vertices, raw_edges):
+    edges = [sorted(v for v in e if v < num_vertices) for e in raw_edges]
+    edges = [e for e in edges if e]
+    hg = Hypergraph.from_edges(num_vertices, edges)
+    deg = [0] * num_vertices
+    for e in edges:
+        for v in e:
+            deg[v] += 1
+    assert hg.max_vertex_degree() == max(deg, default=0)
+
+
+@pytest.mark.parametrize("shape", [(6, 20, 2), (300, 3000, 3)])
+def test_csr_arrays_hold_the_rows(shape):
+    # built and made from tuples, an instance makes its arrays from the rows
+    built = generate_random_instance(*shape, seed=5)
+    direct = SetCoverInstance(
+        num_sets=built.num_sets, num_elements=built.num_elements,
+        set_neighbors=built.set_neighbors, element_neighbors=built.element_neighbors,
+        delta=built.delta, freq=built.freq, m=built.m)
+    assert direct == built and hash(direct) == hash(built) and repr(direct) == repr(built)
+    for inst in (built, direct):
+        for csr, rows in ((inst.set_csr, inst.set_neighbors),
+                          (inst.element_csr, inst.element_neighbors)):
+            indptr, indices = csr
+            assert indptr.dtype == indices.dtype == np.int32
+            assert [tuple(indices[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:])] \
+                == list(rows)
+            assert not indptr.flags.writeable and not indices.flags.writeable

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _reference import ref_degree_estimation
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -200,11 +201,16 @@ def test_degree_estimation_exact_regime():
 
 
 def test_degree_estimation_running_minimum():
+    # the pass keeps no per-step estimates; the per-set reference replays
+    # the same draws and keeps them: its batches equal the pass's, and none
+    # of its estimates ever rises
     inst = generate_random_instance(24, 200, 3, seed=12)
     level = 2
     trace = simulate_degree_estimation(inst, 0.25, level, derive_rng(6))
-    series = np.stack(trace.estimates_by_step)
-    diffs = np.diff(series, axis=0)
+    batches, series = ref_degree_estimation(inst, 0.25, level, derive_rng(6))
+    assert trace.batches == batches
+    assert len(series) == trace.k + 1
+    diffs = np.diff(np.array(series), axis=0)
     assert np.all(diffs <= 1e-9)
 
 
@@ -238,7 +244,7 @@ def test_degree_estimation_seeded_values_pinned(level, expected):
     inst = generate_random_instance(8, 30, 3, seed=20)
     trace = simulate_degree_estimation(inst, 0.5, level, derive_rng(4))
     assert trace.batches == expected
-    assert len(trace.estimates_by_step) == trace.k + 1 == 16
+    assert trace.k == 15
 
 
 def test_degree_estimation_pools_stay_near_their_own_size():
