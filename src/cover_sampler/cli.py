@@ -341,8 +341,7 @@ def cmd_verify_lemmas(args) -> int:
                      lambda t, e, r: hdelta_cover(t, e, r),
                      hdelta_bound(inst, 0.1))):
                 report = measure_ratio(solver, inst, 0.1, args.ratio_trials,
-                                       derive_rng(args.seed, 200 + cell), bound,
-                                       workers=args.workers)
+                                       derive_rng(args.seed, 200 + cell), bound)
                 cell += 1
                 rows.append(_row("cover-ratio", report.passed, instance=idx,
                                  alg=alg, value=f"{report.mean_ratio:.4f}",
@@ -355,8 +354,7 @@ def cmd_verify_lemmas(args) -> int:
             report = measure_ratio(lambda t, e, r: hypergraph_matching(t, e, r),
                                    hg, eps, args.ratio_trials,
                                    derive_rng(args.seed, 300 + cell),
-                                   matching_bound(hg, eps), maximize=True,
-                                   workers=args.workers)
+                                   matching_bound(hg, eps), maximize=True)
             cell += 1
             rows.append(_row("matching-ratio", report.passed, hypergraph=idx,
                              rank=hg.rank, value=f"{report.mean_ratio:.4f}",
@@ -423,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=20000)
     verify.add_argument("--ratio-trials", type=int, default=60)
     verify.add_argument("--corpus-size", type=int, default=12)
-    verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--format", choices=("csv", "json"), default="csv")
     verify.set_defaults(func=cmd_verify_lemmas)

@@ -13,12 +13,13 @@ Three solvers share one sampling law:
 
 All three commit through one engine, `_SweepState`, which also drives the
 phase simulator and the degree-estimation pass in ``mpc_sim``; it holds the
-one covered/chosen/residual bookkeeping.  Each step takes one of two paths,
-chosen from its batch size alone: a small batch walks the instance's tuple
-rows from Python, a large one gathers the instance's CSR ``indptr``/``indices``
-arrays with numpy.  Both paths charge the work counters from the same row
-lengths and leave the same state, so outputs and counters do not depend on
-the path.  Solvers are deterministic given (instance, eps, rng seed).
+one covered/chosen/residual bookkeeping.  Each sweep step and commit takes
+one of two paths, chosen from its batch size alone: a small batch walks the
+instance's tuple rows from Python, a large one gathers the instance's CSR
+``indptr``/``indices`` arrays with numpy.  Both paths charge the work counters
+from the same row lengths and leave the same state, so outputs and counters
+do not depend on the path.  Solvers are deterministic given (instance, eps,
+rng seed).
 """
 
 from __future__ import annotations
@@ -99,11 +100,10 @@ def _effective_eps(eps: float, calibrated: bool) -> float:
 
 # Path crossovers, set by timing both paths on the m = 6e5 benchmark instance
 # and on the 100-instance acceptance corpus.  A batch of at least _VECTOR_MIN
-# items (a step's sampled elements, the sets visited at one hdelta step, the
-# sets of a cover to verify) and a commit walking at least _VECTOR_MIN_ENTRIES
-# row entries take the numpy path; smaller ones stay in Python, which has no
-# per-call overhead.  A commit counts entries because its Python cost grows
-# with row length.
+# items (a step's sampled elements, the sets of a cover to verify) and a
+# commit walking at least _VECTOR_MIN_ENTRIES row entries take the numpy path;
+# smaller ones stay in Python, which has no per-call overhead.  A commit counts
+# entries because its Python cost grows with row length.
 _VECTOR_MIN = 128
 _VECTOR_MIN_ENTRIES = 256
 
@@ -327,8 +327,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
 
     state = _SweepState(instance, counters)
     covered, residual = state.covered_buf, state.residual_buf
-    seen_buf = array("q", residual)
-    seen = np.frombuffer(seen_buf, dtype=np.int64)
+    seen = array("q", residual)
     levels: dict[int, list[int]] = defaultdict(list)
     # the size level of each estimate, from math.log (numpy's log can differ
     # in the last bit), once per distinct estimate
@@ -341,43 +340,25 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         members = levels.pop(j, [])
         if not members:
             continue
-        member_ids = np.array(members) if len(members) >= _VECTOR_MIN else None
         threshold = (1.0 + eff) ** j
         step_groups = buckets_by_step(sample_alias(table, rng, size=len(members)))
         for i in sorted(step_groups, reverse=True):
             counters.steps_executed += 1
             group = step_groups[i]
-            if len(group) >= _VECTOR_MIN:
-                ids = member_ids[group]
-                before = int(seen[ids].sum())
-                sizes = state.residual[ids]
-                seen[ids] = sizes
-                live = sizes > 0
-                ids, sizes = ids[live], sizes[live]
-                estimates = np.array([oracle.estimate(s, n) for s, n in
-                                      zip(ids.tolist(), sizes.tolist())], dtype=np.float64)
-                meets = meets_threshold(estimates, threshold)
-                batch, batch_sizes = ids[meets].tolist(), sizes[meets].tolist()
-                drop = ids[~meets].tolist()
-                counters.rebucket_events += len(drop)
-                for s, e in zip(drop, estimates[~meets].tolist()):
-                    levels[max(min(level_of(e), j - 1), 0)].append(s)
-            else:
-                before = 0
-                batch, batch_sizes = [], []
-                for idx in group:
-                    s = members[idx]
-                    before += seen_buf[s]
-                    size = seen_buf[s] = residual[s]
-                    if size == 0:
-                        continue
-                    estimate = oracle.estimate(s, size)
-                    if meets_threshold(estimate, threshold):
-                        batch.append(s)
-                        batch_sizes.append(size)
-                    else:
-                        counters.rebucket_events += 1
-                        levels[max(min(level_of(estimate), j - 1), 0)].append(s)
+            before = 0
+            batch, batch_sizes = [], []
+            for s in map(members.__getitem__, group):
+                before += seen[s]
+                size = seen[s] = residual[s]
+                if size == 0:
+                    continue
+                estimate = oracle.estimate(s, size)
+                if meets_threshold(estimate, threshold):
+                    batch.append(s)
+                    batch_sizes.append(size)
+                else:
+                    counters.rebucket_events += 1
+                    levels[max(min(level_of(estimate), j - 1), 0)].append(s)
             counters.set_touches += len(group) + before
             counters.edge_touches += before
             if not batch:

@@ -20,7 +20,7 @@ import numpy as np
 from .cover import Cover, CostCounters, _SweepState, buckets_by_step, draw_buckets
 from .instance import Hypergraph, SetCoverInstance
 from .schedule import probabilities, schedule_for_frequency, schedule_for_max_size
-from .util import derive_rng, guarded_floor
+from .util import derive_rng, guarded_floor, meets_threshold
 
 
 # Planner constants.  The theory fixes neither; they are tuned so desk-scale
@@ -234,9 +234,11 @@ def sparsify_non_isolated_counts(hg: Hypergraph, p: float, trials: int,
         return np.zeros(trials, dtype=np.int64)
     vertices = np.fromiter((v for edge in hg.edges for v in edge), dtype=np.int64)
     edge_of = np.repeat(np.arange(num_edges), [len(edge) for edge in hg.edges])
-    keep = rng.random((trials, num_edges)) < p
     counts = np.empty(trials, dtype=np.int64)
-    for r, kept in enumerate(keep):
+    # one row per trial draws the same stream as one trials x E draw, in
+    # memory that does not grow with the trial count
+    for r in range(trials):
+        kept = rng.random(num_edges) < p
         touched = np.bincount(vertices[kept[edge_of]], minlength=hg.num_vertices)
         counts[r] = np.count_nonzero(touched)
     return counts
@@ -298,7 +300,7 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
         counts = np.bincount(edge_sets[pools[i][edge_elems]],
                              minlength=instance.num_sets)
         estimates = np.minimum(estimates, counts / q)
-        eligible = ~state.set_chosen & (estimates >= threshold * (1.0 - 1e-9))
+        eligible = ~state.set_chosen & meets_threshold(estimates, threshold)
         ids = np.flatnonzero(eligible)
         if ids.size == 0:
             continue

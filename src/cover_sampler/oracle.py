@@ -4,7 +4,6 @@ classic greedy, harmonic numbers, and the ratio-measurement harness."""
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,10 +11,21 @@ import numpy as np
 from .cover import Cover
 from .errors import TooLarge
 from .instance import Hypergraph, SetCoverInstance
-from .util import mean_ci95, worker_count
+from .util import mean_ci95
 
 EXACT_COVER_LIMIT = 30
 EXACT_MATCHING_LIMIT = 25
+
+
+def _bitmasks(rows) -> list[int]:
+    """Each row of ids as a Python-int bitmask with bit t set for id t."""
+    masks = []
+    for row in rows:
+        m = 0
+        for t in row:
+            m |= 1 << t
+        masks.append(m)
+    return masks
 
 
 def exact_min_cover(instance: SetCoverInstance, limit: int = EXACT_COVER_LIMIT) -> int:
@@ -26,12 +36,7 @@ def exact_min_cover(instance: SetCoverInstance, limit: int = EXACT_COVER_LIMIT) 
         raise TooLarge(f"{instance.num_sets} sets exceeds the exact limit {limit}")
     if instance.num_elements == 0:
         return 0
-    masks = []
-    for adj in instance.set_neighbors:
-        m = 0
-        for t in adj:
-            m |= 1 << t
-        masks.append(m)
+    masks = _bitmasks(instance.set_neighbors)
     full = (1 << instance.num_elements) - 1
     delta = max(instance.delta, 1)
     best = greedy_cover(instance).size
@@ -68,12 +73,7 @@ def exact_max_matching(hg: Hypergraph, limit: int = EXACT_MATCHING_LIMIT) -> int
     """Exact maximum matching size by exhaustive search with pruning."""
     if len(hg.edges) > limit:
         raise TooLarge(f"{len(hg.edges)} edges exceeds the exact limit {limit}")
-    masks = []
-    for e in hg.edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        masks.append(m)
+    masks = _bitmasks(hg.edges)
     n = len(masks)
     best = 0
 
@@ -159,7 +159,10 @@ def measure_ratio(solver, target, eps: float, trials: int,
 
     The optimum comes from the exact oracle matching ``target``'s type unless
     supplied.  A zero-size solution contributes ratio 0 (never divides).
+    Trials run in the calling thread; ``workers`` must be 1.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     if opt is None:
         if isinstance(target, SetCoverInstance):
             opt = exact_min_cover(target)
@@ -167,20 +170,10 @@ def measure_ratio(solver, target, eps: float, trials: int,
             opt = exact_max_matching(target)
         else:
             raise TypeError("target must be a SetCoverInstance or Hypergraph")
-    children = rng.spawn(trials)
-
-    def one(child):
+    ratios = []
+    for child in rng.spawn(trials):
         solution, _ = solver(target, eps, child)
-        if opt == 0:
-            return 1.0
-        return solution.size / opt
-
-    n_workers = worker_count(workers)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            ratios = list(pool.map(one, children))
-    else:
-        ratios = [one(c) for c in children]
+        ratios.append(1.0 if opt == 0 else solution.size / opt)
     mean, ci = mean_ci95(ratios)
     passed = (mean + ci >= bound) if maximize else (mean - ci <= bound)
     return RatioReport(trials=trials, mean_ratio=mean, ci95=ci, opt=int(opt),
@@ -194,12 +187,7 @@ def exhaustive_min_cover(instance: SetCoverInstance, limit: int = 12) -> int:
         raise TooLarge(f"{instance.num_sets} sets exceeds the exhaustive limit {limit}")
     if instance.num_elements == 0:
         return 0
-    masks = []
-    for adj in instance.set_neighbors:
-        m = 0
-        for t in adj:
-            m |= 1 << t
-        masks.append(m)
+    masks = _bitmasks(instance.set_neighbors)
     full = (1 << instance.num_elements) - 1
     for size in range(0, instance.num_sets + 1):
         for combo in itertools.combinations(range(instance.num_sets), size):

@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientSamples, InsufficientTrials, InvalidConfig
-from .schedule import (Schedule, compute_b, make_schedule, probabilities,
-                       probability)
-from .util import derive_rng, guarded_ceil, mean_ci95, proportion_ci95
+from .schedule import (Schedule, make_schedule, probabilities, probability,
+                       schedule_length_outer)
+from .util import derive_rng, mean_ci95, proportion_ci95
 
 MIN_TRIALS = 1000
 
@@ -216,8 +216,7 @@ class SspTrace:
 def minimum_steps(initial_size: int, eps: float) -> int:
     if initial_size < 1:
         raise InvalidConfig("initial_size must be >= 1")
-    b = compute_b(eps)
-    return b * guarded_ceil(math.log(initial_size / eps) / math.log1p(eps))
+    return schedule_length_outer(initial_size, eps)
 
 
 def _resolve_schedule(config: SspConfig) -> Schedule:

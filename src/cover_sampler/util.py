@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -13,8 +12,6 @@ import numpy as np
 INTEGER_GUARD = 1e-9
 
 _Z95 = 1.959963984540054
-
-THREADS_ENV_VAR = "COVER_SAMPLER_THREADS"
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -62,14 +59,3 @@ def proportion_ci95(successes: int, total: int) -> tuple[float, float]:
     p = successes / total
     return p, _Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / total)
 
-
-def worker_count(requested: int | None) -> int:
-    """Worker count, capped by the COVER_SAMPLER_THREADS environment variable."""
-    want = max(1, int(requested or 1))
-    cap = os.environ.get(THREADS_ENV_VAR)
-    if cap is not None:
-        try:
-            want = min(want, max(1, int(cap)))
-        except ValueError:
-            pass
-    return want

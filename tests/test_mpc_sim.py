@@ -189,6 +189,25 @@ def test_sparsify_counts_match_single_draws():
     assert abs(m1 - m2) <= 3 * (c1 + c2)
 
 
+def test_sparsify_counts_match_matrix_draw_in_bounded_memory():
+    hg = generate_random_hypergraph(2000, 5000, 3, seed=12)
+    trials, p = 400, 0.1
+    tracemalloc.start()
+    try:
+        counts = sparsify_non_isolated_counts(hg, p, trials, derive_rng(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the reference draws every trial's keep row in one trials x E matrix
+    keep = derive_rng(6).random((trials, len(hg.edges))) < p
+    expected = [len({v for e, kept in zip(hg.edges, row) if kept for v in e})
+                for row in keep]
+    assert counts.tolist() == expected
+    # memory in proportion to the incidences, not to trials x E
+    incidences = sum(len(e) for e in hg.edges)
+    assert peak < 64 * incidences < keep.size
+
+
 def test_degree_estimation_exact_regime():
     # small threshold level forces the sample rate to 1, so the estimates
     # equal the true residual sizes at every commit

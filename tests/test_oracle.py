@@ -10,7 +10,7 @@ from cover_sampler import (TooLarge, exact_max_matching, exact_min_cover,
                            matching_bound, measure_ratio, verify_cover)
 from cover_sampler.instance import Hypergraph, SetCoverInstance
 from cover_sampler.oracle import exhaustive_min_cover
-from cover_sampler.util import derive_rng, worker_count
+from cover_sampler.util import derive_rng
 
 
 def test_exact_cover_single_set():
@@ -114,20 +114,9 @@ def test_measure_ratio_matching_direction():
     assert report.passed
 
 
-def test_measure_ratio_workers_deterministic():
+def test_measure_ratio_rejects_workers():
     inst = generate_random_instance(10, 30, 2, seed=11)
-    bound = f_approx_bound(inst, 0.25)
-    seq = measure_ratio(lambda t, e, r: f_approx_bucketed(t, e, r),
-                        inst, 0.25, 40, derive_rng(5), bound, workers=1)
-    par = measure_ratio(lambda t, e, r: f_approx_bucketed(t, e, r),
-                        inst, 0.25, 40, derive_rng(5), bound, workers=4)
-    assert seq == par
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("COVER_SAMPLER_THREADS", "2")
-    assert worker_count(8) == 2
-    monkeypatch.setenv("COVER_SAMPLER_THREADS", "not-a-number")
-    assert worker_count(8) == 8
-    monkeypatch.delenv("COVER_SAMPLER_THREADS")
-    assert worker_count(None) == 1
+    with pytest.raises(ValueError):
+        measure_ratio(lambda t, e, r: f_approx_bucketed(t, e, r),
+                      inst, 0.25, 40, derive_rng(5), f_approx_bound(inst, 0.25),
+                      workers=2)
