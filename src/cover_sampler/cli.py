@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import sys
@@ -33,7 +34,8 @@ from .matching import hypergraph_matching, verify_matching
 from .mpc_sim import (amplify_to_whp, plan_phases, simulate_degree_estimation,
                       simulate_mpc_f_approx)
 from .mpc_sim import sparsify_non_isolated_counts
-from .oracle import f_approx_bound, hdelta_bound, matching_bound, measure_ratio
+from .oracle import (exact_min_cover, f_approx_bound, hdelta_bound,
+                     matching_bound, measure_ratio)
 from .schedule import make_schedule
 from .ssp import (SspConfig, builtin_adversaries, check_step_lemmas,
                   estimate_conditional_multiplicity, estimate_expected_rz,
@@ -126,10 +128,7 @@ def cmd_solve(args) -> int:
             eps_internal = args.eps
         if eps_internal is None:
             raise CoverSamplerError("--eps or --target-eps required")
-
-        def solver(hg, eps, rng):
-            return hypergraph_matching(hg, eps, rng)
-
+        solver = hypergraph_matching
         maximize = True
     else:
         if kind != "sc":
@@ -139,17 +138,15 @@ def cmd_solve(args) -> int:
         eps_internal = args.eps
         if eps_internal is None:
             raise CoverSamplerError("--eps required")
-        calibrated = args.calibrated
-        oracle_delta = args.oracle_delta
 
         def solver(inst, eps, rng):
             if args.alg == "f-online":
-                return f_approx_online(inst, eps, rng, calibrated=calibrated)
+                return f_approx_online(inst, eps, rng, calibrated=args.calibrated)
             if args.alg == "f-bucketed":
-                return f_approx_bucketed(inst, eps, rng, calibrated=calibrated)
-            oracle = NoisyExactSize(oracle_delta, rng) if oracle_delta > 0 else None
+                return f_approx_bucketed(inst, eps, rng, calibrated=args.calibrated)
+            oracle = NoisyExactSize(args.oracle_delta, rng) if args.oracle_delta > 0 else None
             return hdelta_cover(inst, eps, rng, size_oracle=oracle,
-                                calibrated=calibrated)
+                                calibrated=args.calibrated)
 
         maximize = False
 
@@ -170,11 +167,7 @@ def cmd_solve(args) -> int:
         "size": solution.size,
         "valid": valid,
         "witness": "" if witness is None else witness,
-        "element_touches": counters.element_touches,
-        "set_touches": counters.set_touches,
-        "edge_touches": counters.edge_touches,
-        "steps_executed": counters.steps_executed,
-        "rebucket_events": counters.rebucket_events,
+        **dataclasses.asdict(counters),
     }
     _emit([row], args.format)
     return EXIT_OK if valid else EXIT_INVALID_SOLUTION
@@ -276,30 +269,24 @@ def cmd_verify_lemmas(args) -> int:
     rows: list[dict] = []
     cell = 0
 
-    if "sample-mean" in checks:
-        for eps in eps_grid:
+    for check, estimate, bound_at, grid in (
+            ("sample-mean", lambda cfg: estimate_expected_rz(cfg, args.trials),
+             lambda eps: 1.0 + 4.0 * eps, eps_grid),
+            ("multiplicity",
+             lambda cfg: estimate_conditional_multiplicity(cfg, 0, args.trials),
+             lambda eps: 6.0 * eps, [e for e in eps_grid if e <= 0.25])):
+        if check not in checks:
+            continue
+        for eps in grid:
             for n in n_grid:
                 for name, adv in adversaries.items():
                     cfg = SspConfig(initial_size=n, eps=eps, adversary=adv,
                                     seed=args.seed + cell)
                     cell += 1
-                    mean, ci = estimate_expected_rz(cfg, args.trials)
-                    bound = 1.0 + 4.0 * eps
-                    rows.append(_row("sample-mean", mean - ci <= bound, eps=eps,
-                                     n=n, adversary=name, value=f"{mean:.5f}",
-                                     ci95=f"{ci:.5f}", bound=f"{bound:.5f}"))
-
-    if "multiplicity" in checks:
-        for eps in [e for e in eps_grid if e <= 0.25]:
-            for n in n_grid:
-                for name, adv in adversaries.items():
-                    cfg = SspConfig(initial_size=n, eps=eps, adversary=adv,
-                                    seed=args.seed + cell)
-                    cell += 1
-                    p_hat, ci = estimate_conditional_multiplicity(cfg, 0, args.trials)
-                    bound = 6.0 * eps
-                    rows.append(_row("multiplicity", p_hat - ci <= bound, eps=eps,
-                                     n=n, adversary=name, value=f"{p_hat:.5f}",
+                    value, ci = estimate(cfg)
+                    bound = bound_at(eps)
+                    rows.append(_row(check, value - ci <= bound, eps=eps, n=n,
+                                     adversary=name, value=f"{value:.5f}",
                                      ci95=f"{ci:.5f}", bound=f"{bound:.5f}"))
 
     if "step-bounds" in checks:
@@ -333,15 +320,13 @@ def cmd_verify_lemmas(args) -> int:
     if "cover-ratio" in checks:
         corpus = build_cover_corpus(count=args.corpus_size, seed=args.seed + 77)
         for idx, inst in enumerate(corpus):
+            opt = exact_min_cover(inst)
             for alg, solver, bound in (
-                    ("f-bucketed",
-                     lambda t, e, r: f_approx_bucketed(t, e, r),
-                     f_approx_bound(inst, 0.1)),
-                    ("hdelta",
-                     lambda t, e, r: hdelta_cover(t, e, r),
-                     hdelta_bound(inst, 0.1))):
+                    ("f-bucketed", f_approx_bucketed, f_approx_bound(inst, 0.1)),
+                    ("hdelta", hdelta_cover, hdelta_bound(inst, 0.1))):
                 report = measure_ratio(solver, inst, 0.1, args.ratio_trials,
-                                       derive_rng(args.seed, 200 + cell), bound)
+                                       derive_rng(args.seed, 200 + cell), bound,
+                                       opt=opt)
                 cell += 1
                 rows.append(_row("cover-ratio", report.passed, instance=idx,
                                  alg=alg, value=f"{report.mean_ratio:.4f}",
@@ -351,8 +336,7 @@ def cmd_verify_lemmas(args) -> int:
     if "matching-ratio" in checks:
         for idx, hg in enumerate(build_matching_corpus(args.seed + 78)):
             eps = 0.01
-            report = measure_ratio(lambda t, e, r: hypergraph_matching(t, e, r),
-                                   hg, eps, args.ratio_trials,
+            report = measure_ratio(hypergraph_matching, hg, eps, args.ratio_trials,
                                    derive_rng(args.seed, 300 + cell),
                                    matching_bound(hg, eps), maximize=True)
             cell += 1

@@ -364,8 +364,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
             if not batch:
                 continue
             if batch_log is not None:
-                live_mask = ~state.set_chosen
-                max_live = int(state.residual[live_mask].max()) if live_mask.any() else 0
+                max_live = int(state.residual[~state.set_chosen].max(initial=0))
                 # coverage has not moved since the batch was read, so this
                 # counts each newly covered element once per batch set that
                 # covers it

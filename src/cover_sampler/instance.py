@@ -95,6 +95,8 @@ def _build_instance(num_sets: int, num_elements: int, sets: np.ndarray,
     ``i`` as given, for error messages."""
     if num_sets < 0 or num_elements < 0:
         raise ParseError("negative size in header")
+    if max(num_sets, num_elements) > _INT64_MAX:
+        raise ParseError("size beyond int64")
     bad = (sets < 0) | (sets >= num_sets) | (elems < 0) | (elems >= num_elements)
     if bad.any():
         _raise_first_bad_edge(num_sets, num_elements, edge_at, sets.size)
@@ -215,6 +217,8 @@ def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: list[int],
     sizes; ``edge_at(i)`` returns edge ``i`` as given, for error messages."""
     if num_vertices < 0:
         raise ParseError("negative vertex count")
+    if num_vertices > _INT64_MAX:
+        raise ParseError("vertex count beyond int64")
     edge_of = np.repeat(np.arange(len(sizes)), sizes)
     if 0 in sizes or ((ids < 0) | (ids >= num_vertices)).any():
         _raise_first_bad_hyperedge(num_vertices, edge_at, len(sizes))
@@ -354,7 +358,7 @@ def parse_hypergraph(text) -> Hypergraph:
         num_vertices, num_edges = int(header[2]), int(header[3])
     except ValueError as exc:
         raise ParseError(f"non-integer header field in {header_line!r}") from exc
-    if len(body) < num_edges:
+    if not 0 <= num_edges <= len(body):
         raise ParseError(f"header promises {num_edges} edge lines, found {len(body)}")
     if any(line.strip() for line in body[num_edges:]):
         raise ParseError(f"unexpected content after {num_edges} edge lines")

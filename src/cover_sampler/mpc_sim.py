@@ -199,8 +199,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
             group = buckets.get(i)
             if group:
                 state.sweep_step(group)
-        live_mask = ~state.set_chosen
-        residual_after = int(state.residual[live_mask].max()) if live_mask.any() else 0
+        residual_after = int(state.residual[~state.set_chosen].max(initial=0))
         rounds += phase.rounds
         report.phases.append(PhaseRecord(
             index=idx, case_tag=phase.case_tag, start_step=i_hi, end_step=i_lo,

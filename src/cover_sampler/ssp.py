@@ -11,6 +11,8 @@ sample size there.
 large trial counts by drawing (z, r_z) from the process's exact stopping
 law, built from the adversary's size-only view (`Adversary.stopping_law`);
 custom adversaries without one fall back to `run_ssp`, one run per trial.
+Each deterministic shrinking adversary states one pool-size rule
+(`_SizeRule.next_size`); its `shrink` and `size_sequence` follow from it.
 Tests cross-validate the closed form against `run_ssp` and exact values.
 """
 
@@ -38,6 +40,8 @@ class Adversary(ABC):
     id set, and the history of earlier (empty) samples; it must return a
     subset.  ``keep`` names an item the adversary must not delete.  Built-ins
     also expose a size-only view, `stopping_law`, used by the batch estimators.
+    Deterministic shrinkers subclass the private `_SizeRule` and state only
+    its pool-size rule ``next_size``.
     """
 
     name = "adversary"
@@ -90,24 +94,36 @@ def _keep_lowest(alive: set[int], target: int, keep: int | None) -> set[int]:
     return set(kept)
 
 
-class HalveEachStep(Adversary):
-    """Deletes half the pool (lowest ids survive) every step."""
+class _SizeRule(Adversary):
+    """One size rule, ``next_size``: the pool size left before a step.
+    `shrink` keeps that many of the lowest ids, the protected one among them,
+    and `size_sequence` applies the rule from step k down."""
 
-    name = "halve"
-
-    def _next(self, n: int, protect: bool) -> int:
-        t = n // 2
-        return max(1, t) if protect else t
+    @abstractmethod
+    def next_size(self, sched: Schedule, step: int, n: int, protect: bool) -> int:
+        raise NotImplementedError
 
     def shrink(self, sched, step, alive, history, rng, keep=None):
-        return _keep_lowest(alive, self._next(len(alive), keep is not None), keep)
+        target = self.next_size(sched, step, len(alive), keep is not None)
+        if target >= len(alive):
+            return set(alive)
+        return _keep_lowest(alive, target, keep)
 
     def size_sequence(self, sched, initial_size, protect):
         seq = np.empty(sched.k + 1, dtype=np.int64)
         seq[sched.k] = initial_size
         for i in range(sched.k - 1, -1, -1):
-            seq[i] = self._next(int(seq[i + 1]), protect)
+            seq[i] = self.next_size(sched, i, int(seq[i + 1]), protect)
         return seq
+
+
+class HalveEachStep(_SizeRule):
+    """Deletes half the pool (lowest ids survive) every step."""
+
+    name = "halve"
+
+    def next_size(self, sched, step, n, protect):
+        return max(int(protect), n // 2)
 
 
 class DeleteSampledNeighbors(Adversary):
@@ -143,41 +159,18 @@ class DeleteSampledNeighbors(Adversary):
         return counts, hazard
 
 
-class AdaptiveKillOnNearMiss(Adversary):
-    """Watches the expected sample count; whenever the step just executed was
-    close to producing a sample it slashes the pool hard.  Exercises the
-    adaptive side of the adversary interface (the sample history is available
-    but is always empty before the stop step)."""
+class AdaptiveKillOnNearMiss(_SizeRule):
+    """Whenever the step just executed expected at least eps*(1+eps) samples,
+    keeps the constant fraction 0.1 of the pool (rounded down, never below
+    the protected item).  Exercises the adaptive side of the adversary
+    interface (the sample history is always empty before the stop step)."""
 
     name = "near-miss"
 
-    def __init__(self, keep_fraction: float = 0.1, trigger: float | None = None):
-        if not (0.0 < keep_fraction < 1.0):
-            raise ValueError("keep_fraction must lie in (0, 1)")
-        self.keep_fraction = keep_fraction
-        self.trigger = trigger
-
-    def _level(self, sched: Schedule) -> float:
-        return self.trigger if self.trigger is not None else sched.eps * (1.0 + sched.eps)
-
-    def _next(self, sched: Schedule, step: int, n: int, protect: bool) -> int:
-        if probability(step + 1, sched) * n >= self._level(sched):
-            floor = 1 if protect else 0
-            return max(floor, int(n * self.keep_fraction))
+    def next_size(self, sched, step, n, protect):
+        if probability(step + 1, sched) * n >= sched.eps * (1.0 + sched.eps):
+            return max(int(protect), int(n * 0.1))
         return n
-
-    def shrink(self, sched, step, alive, history, rng, keep=None):
-        target = self._next(sched, step, len(alive), keep is not None)
-        if target >= len(alive):
-            return set(alive)
-        return _keep_lowest(alive, target, keep)
-
-    def size_sequence(self, sched, initial_size, protect):
-        seq = np.empty(sched.k + 1, dtype=np.int64)
-        seq[sched.k] = initial_size
-        for i in range(sched.k - 1, -1, -1):
-            seq[i] = self._next(sched, i, int(seq[i + 1]), protect)
-        return seq
 
 
 def builtin_adversaries() -> dict[str, Adversary]:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from cover_sampler import cli, oracle
 from cover_sampler.cli import main
 from cover_sampler.instance import (generate_random_hypergraph,
                                     generate_random_instance,
@@ -184,6 +185,23 @@ def test_verify_lemmas_ratio_checks(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert {"cover-ratio", "matching-ratio"} <= {r["check"] for r in rows}
+
+
+def test_verify_lemmas_cover_ratio_solves_each_optimum_once(capsys, monkeypatch):
+    calls = []
+    exact = oracle.exact_min_cover
+
+    def counting(instance, *args, **kwargs):
+        calls.append(instance)
+        return exact(instance, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "exact_min_cover", counting)
+    monkeypatch.setattr(cli, "exact_min_cover", counting, raising=False)
+    code, out, _ = run_cli(capsys, "verify-lemmas", "--check", "cover-ratio",
+                           "--corpus-size", "3", "--ratio-trials", "5")
+    assert code == 0
+    assert len(parse_csv(out)) == 6
+    assert len(calls) == 3
 
 
 def test_mpc_planner_sweep(capsys):

@@ -106,6 +106,20 @@ def test_parse_hypergraph_errors():
         parse_hypergraph("p hg 2 1\n0 0")
     with pytest.raises(ParseError):
         parse_hypergraph("p hg 2 2\n0 1")
+    with pytest.raises(ParseError, match="promises -1 edge lines"):
+        parse_hypergraph("p hg 3 -1\n0 1\n\n")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_hypergraph("p hg 99999999999999999999 1\n99999999999999999998\n"),
+    lambda: Hypergraph.from_edges(2 ** 64, [[2 ** 64 - 1]]),
+    lambda: parse_instance("p sc 99999999999999999999 1 1\ne 99999999999999999998 0\n"),
+    lambda: SetCoverInstance.from_edges(2 ** 64, 1, [(0, 0)]),
+], ids=["parse-hg", "hg-from-edges", "parse-sc", "sc-from-edges"])
+def test_size_beyond_int64_rejected(build):
+    # ids beyond int64 are stored as -1 on the promise that every size fits
+    with pytest.raises(ParseError, match="beyond int64"):
+        build()
 
 
 def test_hypergraph_roundtrip():

@@ -150,6 +150,28 @@ def test_near_miss_sequence_shrinks_after_trigger():
                zip(seq[::-1], seq[::-1][1:]))  # non-increasing over time
 
 
+@pytest.mark.parametrize("protect", [False, True], ids=["unprotected", "protected"])
+@pytest.mark.parametrize("adv", [HalveEachStep(), AdaptiveKillOnNearMiss()],
+                         ids=["halve", "near-miss"])
+def test_shrink_follows_size_sequence(adv, protect):
+    """Shrinking ids step by step walks the size-only trajectory, and the
+    protected item (the highest id, which a lowest-ids rule would drop)
+    survives every step."""
+    n = 400
+    sched = make_schedule(0.25, minimum_steps(n, 0.25))
+    seq = adv.size_sequence(sched, n, protect)
+    keep = n - 1 if protect else None
+    alive = set(range(n))
+    rng = derive_rng(0)
+    for i in range(sched.k - 1, -1, -1):
+        shrunk = adv.shrink(sched, i, alive, (), rng, keep=keep)
+        assert shrunk <= alive
+        assert len(shrunk) == seq[i]
+        assert not protect or keep in shrunk
+        alive = shrunk
+    assert seq[0] < n
+
+
 @pytest.mark.parametrize("name", sorted(builtin_adversaries()))
 def test_batch_engine_matches_direct_runs(name):
     """The closed-form estimators draw from the same law as the faithful
