@@ -207,8 +207,10 @@ class Hypergraph:
                                  edges.__getitem__)
 
     def max_vertex_degree(self) -> int:
+        """Largest vertex degree, counted in O(incidences) memory even when
+        the vertex count is far larger."""
         flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64)
-        return int(np.bincount(flat, minlength=self.num_vertices).max(initial=0))
+        return int(np.unique(flat, return_counts=True)[1].max(initial=0))
 
 
 def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: list[int],

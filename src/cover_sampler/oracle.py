@@ -30,34 +30,58 @@ def _bitmasks(rows) -> list[int]:
 
 def exact_min_cover(instance: SetCoverInstance, limit: int = EXACT_COVER_LIMIT) -> int:
     """Exact optimum by branch and bound: branch on the uncovered element in
-    the fewest sets, order candidate sets by residual coverage, prune with the
-    ceil(uncovered/delta) lower bound and a greedy upper bound."""
+    the fewest sets, order candidate sets by residual coverage, and start from
+    the greedy cover as the upper bound.
+
+    A node is pruned on the larger of two lower bounds: ceil(uncovered/delta),
+    and a packing of uncovered elements no two of which share a set (walk them
+    lowest first, count one, drop every element its sets reach).  A memo of
+    covered masks also prunes a node whose mask was already reached with at
+    most as many sets.
+    """
     if instance.num_sets > limit:
         raise TooLarge(f"{instance.num_sets} sets exceeds the exact limit {limit}")
     if instance.num_elements == 0:
         return 0
     masks = _bitmasks(instance.set_neighbors)
+    element_sets = instance.element_neighbors
+    # reach[t]: every element sharing a set with t, t included
+    reach = [0] * instance.num_elements
+    for t, row in enumerate(element_sets):
+        for s in row:
+            reach[t] |= masks[s]
     full = (1 << instance.num_elements) - 1
     delta = max(instance.delta, 1)
     best = greedy_cover(instance).size
+    fewest: dict[int, int] = {}
 
     def descend(covered: int, count: int) -> None:
         nonlocal best
         if covered == full:
             best = min(best, count)
             return
+        # safe because best only falls: the earlier visit searched or pruned
+        # this subtree against a best at least as large
+        if fewest.get(covered, count + 1) <= count:
+            return
+        fewest[covered] = count
         uncovered = full & ~covered
-        if count + -(-(uncovered.bit_count()) // delta) >= best:
+        packing = 0
+        rem = uncovered
+        while rem:
+            packing += 1
+            rem &= ~reach[(rem & -rem).bit_length() - 1]
+        if count + max(packing, -(-(uncovered.bit_count()) // delta)) >= best:
             return
         # branch on the uncovered element with the fewest candidate sets
-        pick, pick_sets = -1, None
+        pick_sets = None
         rem = uncovered
         while rem:
             t = (rem & -rem).bit_length() - 1
             rem &= rem - 1
-            cands = instance.element_neighbors[t]
+            cands = element_sets[t]
             if pick_sets is None or len(cands) < len(pick_sets):
-                pick, pick_sets = t, cands
+                pick_sets = cands
                 if len(cands) == 1:
                     break
         assert pick_sets is not None

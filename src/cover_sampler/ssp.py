@@ -351,14 +351,23 @@ def _batch_zr(config: SspConfig, sched: Schedule, trials: int,
     return _zr_from_law(counts, hazards, marked_p, trials, rng)
 
 
+def _estimate_zr(config: SspConfig, trials: int, marked: int | None = None):
+    """|R_z| and marked-item membership of ``trials`` seeded runs, the
+    adversary protecting the marked item when one is given.  The unprotected
+    and the protected estimates draw from streams 1 and 2 of the seed."""
+    if trials < MIN_TRIALS:
+        raise InsufficientTrials(f"need at least {MIN_TRIALS} trials, got {trials}")
+    protect = marked is not None
+    if protect and not (0 <= marked < config.initial_size):
+        raise InvalidConfig("marked item id outside the initial pool")
+    rng = derive_rng(config.seed, 2 if protect else 1)
+    return _batch_zr(config, _resolve_schedule(config), trials, rng, protect)
+
+
 def estimate_expected_rz(config: SspConfig, trials: int) -> tuple[float, float]:
     """Monte Carlo mean of |R_z| (a run that never samples contributes 0)
     with a 95% confidence half-width."""
-    if trials < MIN_TRIALS:
-        raise InsufficientTrials(f"need at least {MIN_TRIALS} trials, got {trials}")
-    sched = _resolve_schedule(config)
-    rng = derive_rng(config.seed, 1)
-    r, _ = _batch_zr(config, sched, trials, rng, protect=False)
+    r, _ = _estimate_zr(config, trials)
     return mean_ci95(r)
 
 
@@ -369,13 +378,7 @@ def estimate_conditional_multiplicity(config: SspConfig, marked: int,
     The adversary is run in protected mode so the marked item survives to the
     sampling; the trials in which it is sampled at the stop step are accepted.
     """
-    if trials < MIN_TRIALS:
-        raise InsufficientTrials(f"need at least {MIN_TRIALS} trials, got {trials}")
-    if not (0 <= marked < config.initial_size):
-        raise InvalidConfig("marked item id outside the initial pool")
-    sched = _resolve_schedule(config)
-    rng = derive_rng(config.seed, 2)
-    r, accepted = _batch_zr(config, sched, trials, rng, protect=True)
+    r, accepted = _estimate_zr(config, trials, marked)
     total = int(accepted.sum())
     if total == 0:
         raise InsufficientSamples("no trial had the marked item sampled")

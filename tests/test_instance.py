@@ -185,6 +185,19 @@ def test_hypergraph_max_degree():
     assert hg.max_vertex_degree() == 3
 
 
+def test_max_vertex_degree_memory_follows_incidences():
+    # a count per header vertex would take 80 MB for one incidence
+    hg = parse_hypergraph("p hg 10000000 1\n9999999\n")
+    tracemalloc.start()
+    try:
+        degree = hg.max_vertex_degree()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert degree == 1
+    assert peak < 2 ** 20
+
+
 def test_from_edges_consistency():
     inst = SetCoverInstance.from_edges(2, 2, [(0, 0), (1, 1), (0, 1)])
     for s, adj in enumerate(inst.set_neighbors):

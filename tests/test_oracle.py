@@ -1,16 +1,63 @@
 """Exact oracles (with an oracle-vs-oracle cross-check), greedy, harmonic
 numbers, and the ratio harness."""
 
+import sys
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cover_sampler import (TooLarge, exact_max_matching, exact_min_cover,
                            f_approx_bucketed, f_approx_bound,
                            generate_random_hypergraph, generate_random_instance,
                            greedy_cover, harmonic, hypergraph_matching,
                            matching_bound, measure_ratio, verify_cover)
+from cover_sampler.corpus import build_cover_corpus
 from cover_sampler.instance import Hypergraph, SetCoverInstance
 from cover_sampler.oracle import exhaustive_min_cover
 from cover_sampler.util import derive_rng
+
+# optima of build_cover_corpus(100), recorded from the plain
+# ceil(uncovered/delta) branch and bound before the packing bound and memo
+CORPUS_OPTIMA = [
+    12, 10, 8, 9, 7, 7, 12, 7, 5, 13, 9, 9, 9, 7, 5, 14, 5, 8, 10, 8,
+    5, 12, 9, 8, 13, 8, 5, 10, 9, 4, 11, 8, 7, 10, 9, 6, 9, 6, 6, 10,
+    7, 7, 8, 5, 8, 11, 11, 5, 10, 9, 7, 11, 10, 7, 8, 8, 9, 11, 7, 7,
+    16, 9, 8, 9, 10, 6, 16, 9, 4, 12, 7, 7, 14, 10, 5, 9, 8, 5, 8, 7,
+    8, 9, 8, 8, 13, 7, 4, 13, 8, 5, 9, 8, 7, 10, 9, 6, 8, 8, 6, 13,
+]
+
+
+@st.composite
+def small_instances(draw):
+    """Instances of 1-12 sets in one of three shapes: every set holds at most
+    one element (delta 1); each element sits in one set, in every set or in
+    two or three sets; or a planted cover of disjoint sets among larger
+    decoys, on which greedy tends to miss the optimum."""
+    num_sets = draw(st.integers(1, 12))
+    set_id = st.integers(0, num_sets - 1)
+    shape = draw(st.sampled_from(["delta-one", "mixed", "planted"]))
+    if shape == "delta-one":
+        n = draw(st.integers(1, num_sets))
+        extra = draw(st.lists(st.integers(0, n - 1),
+                              min_size=num_sets - n, max_size=num_sets - n))
+        edges = list(enumerate(list(range(n)) + extra))
+    elif shape == "mixed":
+        rows = draw(st.lists(st.one_of(set_id.map(lambda s: {s}),
+                                       st.just(set(range(num_sets))),
+                                       st.sets(set_id, min_size=min(2, num_sets), max_size=3)),
+                             max_size=20))
+        n = len(rows)
+        edges = [(s, t) for t, row in enumerate(rows) for s in sorted(row)]
+    else:
+        planted = draw(st.integers(1, num_sets))
+        width = draw(st.integers(1, 4))
+        n = planted * width
+        decoys = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=min(width + 1, n)),
+                               min_size=num_sets - planted, max_size=num_sets - planted))
+        edges = [(t // width, t) for t in range(n)]
+        edges += [(planted + i, t) for i, decoy in enumerate(decoys) for t in sorted(decoy)]
+    return SetCoverInstance.from_edges(num_sets, n, edges)
 
 
 def test_exact_cover_single_set():
@@ -41,6 +88,38 @@ def test_exact_cover_matches_exhaustive():
     for seed in range(25):
         inst = generate_random_instance(9, 20, 2, seed=seed)
         assert exact_min_cover(inst) == exhaustive_min_cover(inst)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_instances())
+def test_exact_cover_matches_exhaustive_on_random_shapes(inst):
+    assert exact_min_cover(inst) == exhaustive_min_cover(inst)
+
+
+def test_exact_cover_corpus_optima_pinned():
+    assert [exact_min_cover(inst) for inst in build_cover_corpus(100)] == CORPUS_OPTIMA
+
+
+def test_exact_cover_search_effort_bounded():
+    # counts calls of the search's node function; the first five corpus
+    # instances take 5747 nodes, and dropping the packing bound (24847), the
+    # memo (9578) or the memo's pruning on ties (9447) goes past the bound
+    nodes = 0
+
+    def count_nodes(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "descend":
+            nodes += 1
+
+    corpus = build_cover_corpus(100)[:5]
+    previous = sys.getprofile()
+    sys.setprofile(count_nodes)
+    try:
+        optima = [exact_min_cover(inst) for inst in corpus]
+    finally:
+        sys.setprofile(previous)
+    assert optima == CORPUS_OPTIMA[:5]
+    assert nodes <= 7000
 
 
 def test_exact_matching_trivia():

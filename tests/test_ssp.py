@@ -83,6 +83,9 @@ def test_estimators_enforce_trial_minimum():
         estimate_expected_rz(cfg, 999)
     with pytest.raises(InsufficientTrials):
         estimate_conditional_multiplicity(cfg, 0, 10)
+    # the trial count is checked before the marked id
+    with pytest.raises(InsufficientTrials):
+        estimate_conditional_multiplicity(cfg, 99, 10)
 
 
 def test_expected_rz_single_item_exact():
