@@ -32,15 +32,14 @@ from .instance import (generate_random_hypergraph, generate_random_instance,
                        serialize_instance)
 from .matching import hypergraph_matching, verify_matching
 from .mpc_sim import (amplify_to_whp, plan_phases, simulate_degree_estimation,
-                      simulate_mpc_f_approx)
-from .mpc_sim import sparsify_non_isolated_counts
+                      simulate_mpc_f_approx, sparsify_non_isolated_counts)
 from .oracle import (exact_min_cover, f_approx_bound, hdelta_bound,
                      matching_bound, measure_ratio)
 from .schedule import make_schedule
 from .ssp import (SspConfig, builtin_adversaries, check_step_lemmas,
                   estimate_conditional_multiplicity, estimate_expected_rz,
                   minimum_steps)
-from .util import derive_rng, mean_ci95
+from .util import _Z95, derive_rng, mean_ci95
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,6 +117,8 @@ def _load_target(args):
 
 def cmd_solve(args) -> int:
     kind, target = _load_target(args)
+    if args.oracle_delta is not None and args.alg != "hdelta":
+        raise CoverSamplerError("--oracle-delta applies only to --alg hdelta")
     if args.alg == "match":
         if kind != "hg":
             raise CoverSamplerError("--alg match needs a hypergraph input")
@@ -144,7 +145,7 @@ def cmd_solve(args) -> int:
                 return f_approx_online(inst, eps, rng, calibrated=args.calibrated)
             if args.alg == "f-bucketed":
                 return f_approx_bucketed(inst, eps, rng, calibrated=args.calibrated)
-            oracle = NoisyExactSize(args.oracle_delta, rng) if args.oracle_delta > 0 else None
+            oracle = NoisyExactSize(args.oracle_delta, rng) if args.oracle_delta else None
             return hdelta_cover(inst, eps, rng, size_oracle=oracle,
                                 calibrated=args.calibrated)
 
@@ -311,7 +312,7 @@ def cmd_verify_lemmas(args) -> int:
                     hg, p, trials, derive_rng(args.seed, 100 + cell))
                 cell += 1
                 mean, ci = mean_ci95(counts)
-                sem = ci / 1.959963984540054
+                sem = ci / _Z95
                 bound = p * hg.avg_rank * len(hg.edges)
                 rows.append(_row("sparsification", mean <= bound + 3 * sem,
                                  p=p, hypergraph=idx, value=f"{mean:.4f}",
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--calibrated", action="store_true",
                        help="run the schedule at eps/4 for the tighter factor")
-    solve.add_argument("--oracle-delta", type=float, default=0.0,
+    solve.add_argument("--oracle-delta", type=float,
                        help="hdelta only: noisy size oracle over-approximation")
     solve.add_argument("--copies", type=int, default=1,
                        help="independent runs; best valid solution wins")

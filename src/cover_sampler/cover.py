@@ -5,18 +5,20 @@ Three solvers share one sampling law:
 * ``f_approx_online``     - per step, samples live elements and adds every set
   containing a sampled element (fresh coins each step).
 * ``f_approx_bucketed``   - draws each element's sampling step upfront from the
-  schedule's first-sample distribution, then sweeps the steps once; output is
-  distributed identically to the online variant but touches each element once.
+  schedule's first-sample distribution (`schedule.step_groups`), then sweeps
+  the steps once; output is distributed identically to the online variant but
+  touches each element once.
 * ``hdelta_cover``        - size-threshold solver: descending size levels, and
-  within a level the same upfront bucketing applied to the candidate sets,
+  within a level the same upfront step draw applied to the candidate sets,
   with lazy downward rebucketing as sets shrink.
 
 All three commit through one engine, `_SweepState`, which also drives the
 phase simulator and the degree-estimation pass in ``mpc_sim``; it holds the
 one covered/chosen/residual bookkeeping.  Each sweep step and commit takes
 one of two paths, chosen from its batch size alone: a small batch walks the
-instance's tuple rows from Python, a large one gathers the instance's CSR
-``indptr``/``indices`` arrays with numpy.  Both paths charge the work counters
+instance's tuple rows from Python, a large one gathers its CSR
+``indptr``/``indices`` arrays with numpy (the instance builder makes the
+arrays and cuts the rows from them).  Both paths charge the work counters
 from the same row lengths and leave the same state, so outputs and counters
 do not depend on the path.  Solvers are deterministic given (instance, eps,
 rng seed).
@@ -33,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import SetCoverInstance
-from .schedule import (alias_for_schedule, compute_b, probabilities,
-                       sample_alias, schedule_for_frequency,
-                       schedule_for_max_size)
+from .schedule import (compute_b, probabilities, schedule_for_frequency,
+                       schedule_for_max_size, step_groups)
 from .util import guarded_floor, meets_threshold
 
 
@@ -82,8 +83,8 @@ class NoisyExactSize:
     """Size oracle over-approximating by a uniform factor in [1, 1+delta]."""
 
     def __init__(self, delta: float, rng: np.random.Generator):
-        if delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(delta) and delta >= 0):
+            raise ValueError(f"delta must be finite and nonnegative, got {delta}")
         self.delta = delta
         self.rng = rng
 
@@ -227,20 +228,6 @@ class _SweepState:
         return Cover(tuple(sorted(self.chosen)))
 
 
-def draw_buckets(instance: SetCoverInstance, sched, rng) -> np.ndarray:
-    """Per-element sampling step, drawn upfront via the alias table."""
-    table = alias_for_schedule(sched)
-    return sample_alias(table, rng, size=instance.num_elements)
-
-
-def buckets_by_step(assignment: np.ndarray) -> dict[int, list[int]]:
-    """Ids 0..n-1 grouped by their drawn step, ascending within each step."""
-    buckets: dict[int, list[int]] = defaultdict(list)
-    for t, x in enumerate(assignment.tolist()):
-        buckets[x].append(t)
-    return buckets
-
-
 def f_approx_online(instance: SetCoverInstance, eps: float,
                     rng: np.random.Generator,
                     calibrated: bool = False) -> tuple[Cover, CostCounters]:
@@ -280,10 +267,9 @@ def f_approx_bucketed(instance: SetCoverInstance, eps: float,
     if instance.num_elements == 0:
         return Cover(()), counters
     sched = schedule_for_max_size(instance.delta, eff)
-    buckets = buckets_by_step(draw_buckets(instance, sched, rng))
     state = _SweepState(instance, counters)
-    for i in sorted(buckets, reverse=True):
-        state.sweep_step(buckets[i])
+    for _, group in step_groups(sched, rng, instance.num_elements):
+        state.sweep_step(group)
     return state.cover(), counters
 
 
@@ -321,7 +307,6 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         return Cover(()), counters
     oracle = size_oracle if size_oracle is not None else ExactSize()
     sched = schedule_for_frequency(instance.freq, eff)
-    table = alias_for_schedule(sched)
     log_base = math.log1p(eff)
     level_cap = guarded_floor(math.log(instance.delta) / log_base)
 
@@ -341,10 +326,8 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         if not members:
             continue
         threshold = (1.0 + eff) ** j
-        step_groups = buckets_by_step(sample_alias(table, rng, size=len(members)))
-        for i in sorted(step_groups, reverse=True):
+        for i, group in step_groups(sched, rng, len(members)):
             counters.steps_executed += 1
-            group = step_groups[i]
             before = 0
             batch, batch_sizes = [], []
             for s in map(members.__getitem__, group):

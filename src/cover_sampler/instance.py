@@ -8,18 +8,17 @@ Text formats (line based, 0-based ids, ``c`` lines are comments):
 * hypergraph:  ``p hg <num_vertices> <num_edges>`` followed by one line per
   edge listing its vertex ids.
 
-Both builders check and sort whole id columns with numpy; the stored rows are
-tuples cut from one ``tolist()`` per side.  A set-cover instance also offers
-both sides in CSR form (``indptr``/``indices`` arrays) for the numpy paths of
-the solvers.
+Both builders check and sort whole id columns with numpy and keep each side
+as read-only CSR arrays (``indptr``/``indices``), the layout the numpy paths
+of the solvers and the sparsification counts read; the stored rows are tuples
+cut from the same arrays, one ``tolist()`` per side.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,8 +37,9 @@ class SetCoverInstance:
     ``delta`` is the largest set size, ``freq`` the largest number of sets any
     single element belongs to, and ``m`` the total number of incidences.
     ``set_csr`` and ``element_csr`` hold the same rows as read-only
-    ``(indptr, indices)`` arrays; they are not fields, so ``==``, ``hash`` and
-    ``repr`` ignore them.
+    ``(indptr, indices)`` arrays: row ``s`` of the set side is
+    ``indices[indptr[s]:indptr[s + 1]]``.  ``==``, ``hash`` and ``repr``
+    ignore them.
     """
 
     num_sets: int
@@ -49,6 +49,8 @@ class SetCoverInstance:
     delta: int
     freq: int
     m: int
+    set_csr: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    element_csr: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @classmethod
     def from_edges(cls, num_sets: int, num_elements: int,
@@ -64,26 +66,16 @@ class SetCoverInstance:
         return _build_instance(num_sets, num_elements, ids[0::2], ids[1::2],
                                edges.__getitem__)
 
-    @cached_property
-    def set_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row ``s`` of the set side is ``indices[indptr[s]:indptr[s + 1]]``."""
-        return _csr(self.set_neighbors, self)
 
-    @cached_property
-    def element_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row ``t`` of the element side is ``indices[indptr[t]:indptr[t + 1]]``."""
-        return _csr(self.element_neighbors, self)
-
-
-def _csr(rows, instance: SetCoverInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only CSR arrays of tuple rows, int32 when every id and offset
-    fits."""
-    big = max(instance.num_sets, instance.num_elements, instance.m)
-    dtype = np.int32 if big <= _INT32_MAX else np.int64
-    indptr = np.zeros(len(rows) + 1, dtype=dtype)
-    np.add.accumulate(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
-                      out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=instance.m)
+def _csr_arrays(lengths, column: np.ndarray,
+                id_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(indptr, indices)`` of rows with the given lengths, laid
+    end to end in ``column`` (ids in [0, id_count)); int32 when every id and
+    offset fits."""
+    dtype = np.int32 if max(id_count, column.size) <= _INT32_MAX else np.int64
+    indptr = np.zeros(len(lengths) + 1, dtype=dtype)
+    np.add.accumulate(lengths, out=indptr[1:])
+    indices = column.astype(dtype)
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices
@@ -105,22 +97,23 @@ def _build_instance(num_sets: int, num_elements: int, sets: np.ndarray,
     by_set, elems_by_set = sets[order], elems[order]
     if ((by_set[1:] == by_set[:-1]) & (elems_by_set[1:] == elems_by_set[:-1])).any():
         _raise_first_bad_edge(num_sets, num_elements, edge_at, sets.size)
-    elem_degree = np.bincount(elems, minlength=num_elements).tolist()
-    if 0 in elem_degree:
-        raise InfeasibleInstance(f"element id {elem_degree.index(0)} has degree 0; "
+    elem_degree = np.bincount(elems, minlength=num_elements)
+    if not elem_degree.all():
+        raise InfeasibleInstance(f"element id {elem_degree.argmin()} has degree 0; "
                                  "no cover can include it")
-    set_degree = np.bincount(sets, minlength=num_sets).tolist()
+    set_degree = np.bincount(sets, minlength=num_sets)
+    set_csr = _csr_arrays(set_degree, elems_by_set, num_elements)
+    by_elem = _pair_order(elems, sets, num_elements, num_sets)
+    element_csr = _csr_arrays(elem_degree, sets[by_elem], num_sets)
     # set rows get fresh ints, allocated in row order; element rows share one
     # int object per set id
-    set_neighbors = _rows(elems_by_set.tolist(), set_degree)
-    by_elem = _pair_order(elems, sets, num_elements, num_sets)
     shared = np.array(range(num_sets), dtype=object)
-    element_neighbors = _rows(shared[sets[by_elem]].tolist(), elem_degree)
     return SetCoverInstance(
         num_sets=num_sets, num_elements=num_elements,
-        set_neighbors=set_neighbors, element_neighbors=element_neighbors,
-        delta=max(set_degree, default=0), freq=max(elem_degree, default=0),
-        m=int(sets.size))
+        set_neighbors=_rows(set_csr[1].tolist(), set_csr[0]),
+        element_neighbors=_rows(shared[element_csr[1]].tolist(), element_csr[0]),
+        delta=int(set_degree.max(initial=0)), freq=int(elem_degree.max(initial=0)),
+        m=int(sets.size), set_csr=set_csr, element_csr=element_csr)
 
 
 def _raise_first_bad_edge(num_sets: int, num_elements: int, edge_at,
@@ -148,11 +141,11 @@ def _pair_order(major: np.ndarray, minor: np.ndarray, major_count: int,
     return np.argsort(major * minor_count + minor)
 
 
-def _rows(flat: list, lengths: list[int]) -> tuple[tuple[int, ...], ...]:
-    """``flat`` cut into consecutive tuples of the given lengths."""
+def _rows(flat: list, indptr: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """``flat`` cut into tuples at the CSR offsets ``indptr``."""
     flat_tuple = tuple(flat)
-    ends = list(accumulate(lengths))
-    return tuple(flat_tuple[a:b] for a, b in zip([0] + ends[:-1], ends))
+    bounds = indptr.tolist()
+    return tuple(flat_tuple[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def _clamp(value: int) -> int:
@@ -187,13 +180,15 @@ class Hypergraph:
     """Vertex set plus a list of hyperedges (sorted, duplicate-free id tuples).
 
     ``rank`` is the largest edge size; ``avg_rank`` the mean edge size
-    (0 when there are no edges).
+    (0 when there are no edges).  ``edge_csr`` holds the edges as read-only
+    ``(indptr, indices)`` arrays, which ``==``, ``hash`` and ``repr`` ignore.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, ...], ...]
     rank: int
     avg_rank: float
+    edge_csr: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @classmethod
     def from_edges(cls, num_vertices: int,
@@ -209,8 +204,7 @@ class Hypergraph:
     def max_vertex_degree(self) -> int:
         """Largest vertex degree, counted in O(incidences) memory even when
         the vertex count is far larger."""
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64)
-        return int(np.unique(flat, return_counts=True)[1].max(initial=0))
+        return int(np.unique(self.edge_csr[1], return_counts=True)[1].max(initial=0))
 
 
 def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: list[int],
@@ -229,9 +223,11 @@ def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: list[int],
     ids = ids[_pair_order(edge_of, ids, len(sizes), num_vertices)]
     if ((ids[1:] == ids[:-1]) & (edge_of[1:] == edge_of[:-1])).any():
         _raise_first_bad_hyperedge(num_vertices, edge_at, len(sizes))
-    return Hypergraph(num_vertices=num_vertices, edges=_rows(ids.tolist(), sizes),
+    edge_csr = _csr_arrays(sizes, ids, num_vertices)
+    return Hypergraph(num_vertices=num_vertices, edges=_rows(ids.tolist(), edge_csr[0]),
                       rank=max(sizes, default=0),
-                      avg_rank=sum(sizes) / len(sizes) if sizes else 0.0)
+                      avg_rank=sum(sizes) / len(sizes) if sizes else 0.0,
+                      edge_csr=edge_csr)
 
 
 def _raise_first_bad_hyperedge(num_vertices: int, edge_at, count: int) -> None:
@@ -445,4 +441,5 @@ def to_hypergraph(instance: SetCoverInstance) -> Hypergraph:
     return Hypergraph(
         num_vertices=instance.num_sets, edges=instance.element_neighbors,
         rank=instance.freq,
-        avg_rank=instance.m / instance.num_elements if instance.num_elements else 0.0)
+        avg_rank=instance.m / instance.num_elements if instance.num_elements else 0.0,
+        edge_csr=instance.element_csr)

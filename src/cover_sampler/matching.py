@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import CostCounters, buckets_by_step
+from .cover import CostCounters
 from .instance import Hypergraph
-from .schedule import alias_for_schedule, sample_alias, schedule_for_max_size
+from .schedule import schedule_for_max_size, step_groups
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,14 @@ def hypergraph_matching(hg: Hypergraph, eps: float,
     num_edges = len(hg.edges)
     if num_edges == 0:
         return Matching(()), counters
-    max_degree = hg.max_vertex_degree()
-    sched = schedule_for_max_size(max_degree, eps)
-    table = alias_for_schedule(sched)
-    step_groups = buckets_by_step(sample_alias(table, rng, size=num_edges))
+    sched = schedule_for_max_size(hg.max_vertex_degree(), eps)
 
     vertex_dead = np.zeros(hg.num_vertices, dtype=bool)
     collected: list[int] = []
-    for i in sorted(step_groups, reverse=True):
+    for _, group in step_groups(sched, rng, num_edges):
         counters.steps_executed += 1
         batch = []
-        for e in step_groups[i]:
+        for e in group:
             counters.edge_touches += len(hg.edges[e])
             if not any(vertex_dead[v] for v in hg.edges[e]):
                 batch.append(e)

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cover import Cover, CostCounters, _SweepState, buckets_by_step, draw_buckets
+from .cover import Cover, CostCounters, _SweepState
 from .instance import Hypergraph, SetCoverInstance
-from .schedule import probabilities, schedule_for_frequency, schedule_for_max_size
+from .schedule import (probabilities, schedule_for_frequency, schedule_for_max_size,
+                       step_groups)
 from .util import derive_rng, guarded_floor, meets_threshold
 
 
@@ -71,7 +72,11 @@ def plan_phases(delta: int, freq: int, eps: float, n: int) -> PhasePlan:
     ln_n = math.log(n)
     cap = max(1, math.ceil(math.log2(n)))
     exponent = CASE1_EXPONENT_SCALE * (eps ** -2) * math.log(max(ln_n, 1.0 + 1e-12))
-    case1_gate = ln_n ** exponent
+    try:
+        case1_gate = ln_n ** exponent
+    except OverflowError:
+        # a gate beyond float range leaves every step in case 1
+        case1_gate = math.inf
     # tau is non-decreasing in the step index, so the no-compression zone is
     # the prefix [0, gate_step]; compressed phases stop at its boundary
     gate_step = -1
@@ -170,8 +175,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         return Cover(()), report
     sched = schedule_for_max_size(instance.delta, eps)
     p = probabilities(sched)
-    assignment = draw_buckets(instance, sched, rng)
-    buckets = buckets_by_step(assignment)
+    buckets = dict(step_groups(sched, rng, instance.num_elements))
     plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
                        instance.num_sets + instance.num_elements)
     state = _SweepState(instance, report.counters)
@@ -231,8 +235,8 @@ def sparsify_non_isolated_counts(hg: Hypergraph, p: float, trials: int,
     num_edges = len(hg.edges)
     if num_edges == 0:
         return np.zeros(trials, dtype=np.int64)
-    vertices = np.fromiter((v for edge in hg.edges for v in edge), dtype=np.int64)
-    edge_of = np.repeat(np.arange(num_edges), [len(edge) for edge in hg.edges])
+    indptr, vertices = hg.edge_csr
+    edge_of = np.repeat(np.arange(num_edges), np.diff(indptr))
     counts = np.empty(trials, dtype=np.int64)
     # one row per trial draws the same stream as one trials x E draw, in
     # memory that does not grow with the trial count

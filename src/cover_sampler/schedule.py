@@ -9,6 +9,7 @@ are indexed k, k-1, ..., 0 (decreasing).  Natural logarithms throughout.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +69,11 @@ def schedule_length_outer(delta: int, eps: float) -> int:
     if delta < 1:
         raise ValueError("delta must be >= 1; empty instances short-circuit earlier")
     b = compute_b(eps)
-    return b * guarded_ceil(math.log(delta / eps) / math.log1p(eps))
+    try:
+        ratio = delta / eps
+    except OverflowError:
+        raise InvalidConfig(f"size {delta} is beyond float range") from None
+    return b * guarded_ceil(math.log(ratio) / math.log1p(eps))
 
 
 def schedule_for_max_size(delta: int, eps: float) -> Schedule:
@@ -163,3 +168,15 @@ def _alias_cached(eps: float, k: int) -> AliasTable:
 def alias_for_schedule(sched: Schedule) -> AliasTable:
     """Alias table over the schedule's first-sample distribution (cached)."""
     return _alias_cached(sched.eps, sched.k)
+
+
+def step_groups(sched: Schedule, rng: np.random.Generator,
+                count: int) -> list[tuple[int, list[int]]]:
+    """Draw the first sampled step of each of ids 0..count-1 from the
+    schedule's alias table; ``(step, ids ascending)`` for each drawn step,
+    highest step first."""
+    groups: dict[int, list[int]] = defaultdict(list)
+    for t, step in enumerate(sample_alias(alias_for_schedule(sched), rng,
+                                          size=count).tolist()):
+        groups[step].append(t)
+    return sorted(groups.items(), reverse=True)

@@ -7,7 +7,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from cover_sampler.cover import BatchRecord, Cover, CostCounters, ExactSize, draw_buckets
+from cover_sampler.cover import BatchRecord, Cover, CostCounters, ExactSize
 from cover_sampler.mpc_sim import DegreeBatch, MpcReport, PhaseRecord, _max_ball_size, plan_phases
 from cover_sampler.schedule import (alias_for_schedule, probabilities, sample_alias,
                                     schedule_for_frequency, schedule_for_max_size)
@@ -98,7 +98,8 @@ def ref_bucketed(instance, eps, rng, calibrated=False):
     if instance.num_elements == 0:
         return Cover(()), counters
     sched = schedule_for_max_size(instance.delta, eff)
-    buckets = ref_buckets(draw_buckets(instance, sched, rng))
+    buckets = ref_buckets(sample_alias(alias_for_schedule(sched), rng,
+                                       size=instance.num_elements))
     state = RefState(instance, counters)
     for i in sorted(buckets, reverse=True):
         state.sweep_step(buckets[i])
@@ -166,7 +167,8 @@ def ref_mpc(instance, eps, rng):
         return Cover(()), report
     sched = schedule_for_max_size(instance.delta, eps)
     p = probabilities(sched)
-    buckets = ref_buckets(draw_buckets(instance, sched, rng))
+    buckets = ref_buckets(sample_alias(alias_for_schedule(sched), rng,
+                                       size=instance.num_elements))
     plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
                        instance.num_sets + instance.num_elements)
     state = RefState(instance, report.counters)

@@ -4,14 +4,17 @@ reproducibility."""
 import csv
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 
 from cover_sampler import cli, oracle
 from cover_sampler.cli import main
+from cover_sampler.cover import NoisyExactSize, hdelta_cover
 from cover_sampler.instance import (generate_random_hypergraph,
-                                    generate_random_instance,
+                                    generate_random_instance, parse_instance,
                                     serialize_hypergraph, serialize_instance)
+from cover_sampler.util import derive_rng
 
 
 @pytest.fixture()
@@ -99,6 +102,40 @@ def test_solve_match_target_eps(capsys, hg_file):
     row = parse_csv(out)[0]
     assert row["valid"] == "True"
     assert float(row["internal_eps"]) == pytest.approx(0.3 / 3)
+
+
+def test_solve_oracle_delta_seeded_output(capsys, sc_file):
+    with open(sc_file) as fh:
+        inst = parse_instance(fh.read())
+    rng = derive_rng(4, 0)
+    cover, counters = hdelta_cover(inst, 0.25, rng, size_oracle=NoisyExactSize(0.3, rng))
+    code, out, _ = run_cli(capsys, "solve", "--alg", "hdelta", "--eps", "0.25",
+                           "--seed", "4", "--oracle-delta", "0.3", sc_file)
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert int(row["size"]) == cover.size
+    assert {f: int(row[f]) for f in asdict(counters)} == asdict(counters)
+    # zero runs the exact oracle, as without the flag
+    outs = [run_cli(capsys, "solve", "--alg", "hdelta", "--eps", "0.25", "--seed", "4",
+                    *extra, sc_file)[1] for extra in ([], ["--oracle-delta", "0"])]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_solve_rejects_bad_oracle_delta(capsys, sc_file, value):
+    code, out, err = run_cli(capsys, "solve", "--alg", "hdelta", "--eps", "0.25",
+                             "--oracle-delta", value, sc_file)
+    assert code == 1 and out == ""
+    assert "finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("alg", ["f-online", "f-bucketed", "match"])
+def test_solve_oracle_delta_needs_hdelta(capsys, sc_file, hg_file, alg):
+    code, out, err = run_cli(capsys, "solve", "--alg", alg, "--eps", "0.25",
+                             "--oracle-delta", "0.1",
+                             hg_file if alg == "match" else sc_file)
+    assert code == 1 and out == ""
+    assert "--oracle-delta applies only to --alg hdelta" in err
 
 
 def test_solve_match_rejects_cover_input(capsys, sc_file):
@@ -212,6 +249,21 @@ def test_mpc_planner_sweep(capsys):
     assert {r["delta_exp"] for r in rows} == {"4", "6", "8"}
     last = [r for r in rows if r["delta_exp"] == "8"][-1]
     assert int(last["cumulative_rounds"]) == int(last["predicted_mpc_rounds"])
+
+
+def test_mpc_planner_sweep_at_small_eps(capsys):
+    code, out, _ = run_cli(capsys, "mpc", "--eps", "0.01", "--delta-sweep", "4:4:1")
+    assert code == 0
+    rows = parse_csv(out)
+    assert {r["case"] for r in rows} == {"1"}
+    assert len(rows) == int(rows[0]["k"]) + 1
+
+
+def test_mpc_planner_sweep_rejects_delta_beyond_float_range(capsys):
+    code, out, err = run_cli(capsys, "mpc", "--eps", "0.25",
+                             "--delta-sweep", "1100:1100:1")
+    assert code == 1 and out == ""
+    assert "InvalidConfig" in err and "beyond float range" in err
 
 
 def test_mpc_phase_sim(capsys, sc_file):

@@ -1,6 +1,8 @@
 """Cover solvers: validity, determinism, work counters, batch invariants,
 and the distributional equivalence of the two frequency-solver variants."""
 
+import math
+
 import pytest
 from scipy.stats import ks_2samp
 
@@ -193,8 +195,9 @@ def test_noisy_oracle_contract():
             est = oracle.estimate(0, size)
             assert size <= est <= 1.2 * size * (1 + 1e-12)
     assert ExactSize().estimate(3, 17) == 17.0
-    with pytest.raises(ValueError):
-        NoisyExactSize(-0.1, rng)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            NoisyExactSize(bad, rng)
 
 
 def test_hdelta_rebuckets_shrinking_sets():

@@ -5,7 +5,7 @@ the numpy/Python path crossovers at their defaults, forced to the numpy path
 (0) and forced to the Python path (huge).  The references live in
 ``_reference.py``."""
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from cover_sampler import cover
 from cover_sampler.cover import (Cover, NoisyExactSize, f_approx_bucketed, f_approx_online,
                                  hdelta_cover, verify_cover)
-from cover_sampler.instance import Hypergraph, SetCoverInstance, generate_random_instance
+from cover_sampler.instance import (Hypergraph, SetCoverInstance, generate_random_hypergraph,
+                                    generate_random_instance, parse_hypergraph, parse_instance,
+                                    serialize_hypergraph, serialize_instance, to_hypergraph)
 from cover_sampler.mpc_sim import simulate_degree_estimation, simulate_mpc_f_approx
 from cover_sampler.util import derive_rng
 
@@ -179,20 +181,34 @@ def test_max_vertex_degree_matches_loop(num_vertices, raw_edges):
     assert hg.max_vertex_degree() == max(deg, default=0)
 
 
+def csr_rows(csr):
+    indptr, indices = csr
+    assert indptr.dtype == indices.dtype == np.int32
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    return [tuple(indices[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:])]
+
+
 @pytest.mark.parametrize("shape", [(6, 20, 2), (300, 3000, 3)])
 def test_csr_arrays_hold_the_rows(shape):
-    # built and made from tuples, an instance makes its arrays from the rows
+    # every builder makes the arrays and cuts the tuple rows from them
     built = generate_random_instance(*shape, seed=5)
-    direct = SetCoverInstance(
-        num_sets=built.num_sets, num_elements=built.num_elements,
-        set_neighbors=built.set_neighbors, element_neighbors=built.element_neighbors,
-        delta=built.delta, freq=built.freq, m=built.m)
-    assert direct == built and hash(direct) == hash(built) and repr(direct) == repr(built)
-    for inst in (built, direct):
-        for csr, rows in ((inst.set_csr, inst.set_neighbors),
-                          (inst.element_csr, inst.element_neighbors)):
-            indptr, indices = csr
-            assert indptr.dtype == indices.dtype == np.int32
-            assert [tuple(indices[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:])] \
-                == list(rows)
-            assert not indptr.flags.writeable and not indices.flags.writeable
+    edges = [(s, t) for s, row in enumerate(built.set_neighbors) for t in row]
+    for inst in (built,
+                 SetCoverInstance.from_edges(built.num_sets, built.num_elements, edges[::-1]),
+                 parse_instance(serialize_instance(built))):
+        assert inst == built
+        assert csr_rows(inst.set_csr) == list(inst.set_neighbors)
+        assert csr_rows(inst.element_csr) == list(inst.element_neighbors)
+    hg = generate_random_hypergraph(shape[0], shape[1] // 2, 3, seed=5, min_size=1)
+    dual = to_hypergraph(built)
+    assert dual.edge_csr is built.element_csr
+    for h in (hg, Hypergraph.from_edges(hg.num_vertices, [e[::-1] for e in hg.edges]),
+              parse_hypergraph(serialize_hypergraph(hg)), dual):
+        assert csr_rows(h.edge_csr) == list(h.edges)
+    # ==, hash and repr ignore the arrays
+    empty = (np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32))
+    for obj, arrays in ((built, {"set_csr": empty, "element_csr": empty}),
+                        (dual, {"edge_csr": empty}), (hg, {"edge_csr": empty})):
+        other = replace(obj, **arrays)
+        assert other == obj and hash(other) == hash(obj) and repr(other) == repr(obj)
+        assert "csr" not in repr(obj)

@@ -69,6 +69,22 @@ def test_phase_simulation_matches_bucketed_solver():
         assert verify_cover(inst, phased)[0]
 
 
+def test_plan_gate_beyond_float_range_leaves_every_step_in_case1():
+    # (ln n)^(0.05 * eps^-2 * ln ln n) is beyond float range at eps 0.02
+    plan = plan_phases(16, 2, 0.02, 2 ** 20)
+    assert all(p.case_tag == 1 and p.length == 1 for p in plan.phases)
+    assert [p.start_step for p in plan.phases] == list(range(plan.k, -1, -1))
+
+
+def test_phase_simulation_at_small_eps_matches_bucketed_solver():
+    # n = 38 puts the planner's gate beyond float range
+    inst = generate_random_instance(8, 30, 2, seed=5)
+    direct, _ = f_approx_bucketed(inst, 0.01, derive_rng(4))
+    phased, report = simulate_mpc_f_approx(inst, 0.01, derive_rng(4))
+    assert direct == phased
+    assert all(rec.case_tag == 1 and rec.length == 1 for rec in report.phases)
+
+
 def test_phase_report_shape():
     inst = generate_random_instance(30, 300, 2, seed=6)
     _, report = simulate_mpc_f_approx(inst, 0.25, derive_rng(3))

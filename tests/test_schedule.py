@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cover_sampler import (InvalidEpsilon, bucket_distribution, build_alias,
+from cover_sampler import (InvalidConfig, InvalidEpsilon, bucket_distribution, build_alias,
                            compute_b, make_schedule, probabilities, probability,
                            sample_alias, schedule_for_frequency,
                            schedule_for_max_size, schedule_length_outer)
-from cover_sampler.schedule import alias_for_schedule
+from cover_sampler.schedule import alias_for_schedule, step_groups
 from cover_sampler.util import derive_rng
 
 GRID_EPS = (0.05, 0.1, 0.25, 0.5)
@@ -146,3 +146,24 @@ def test_alias_deterministic_given_seed():
     a = sample_alias(table, derive_rng(3), size=1000)
     b = sample_alias(table, derive_rng(3), size=1000)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("count", [0, 1, 500])
+def test_step_groups_partition_one_alias_draw(count):
+    sched = schedule_for_max_size(32, 0.25)
+    rng, ref_rng = derive_rng(3), derive_rng(3)
+    groups = step_groups(sched, rng, count)
+    draws = sample_alias(alias_for_schedule(sched), ref_rng, size=count)
+    # the same stream, consumed to the same point
+    assert rng.random() == ref_rng.random()
+    steps = [i for i, _ in groups]
+    assert steps == sorted(set(draws.tolist()), reverse=True)
+    for i, ids in groups:
+        assert ids == np.flatnonzero(draws == i).tolist()
+    assert sorted(t for _, ids in groups for t in ids) == list(range(count))
+
+
+def test_outer_length_rejects_size_beyond_float_range():
+    with pytest.raises(InvalidConfig, match="beyond float range"):
+        schedule_length_outer(2 ** 1100, 0.25)
+    assert schedule_length_outer(2 ** 1000, 0.25) > 0
