@@ -12,7 +12,7 @@ from .instance import (Hypergraph, SetCoverInstance, generate_random_hypergraph,
 from .matching import Matching, hypergraph_matching, verify_matching
 from .mpc_sim import (MpcReport, PhasePlan, amplify_to_whp,
                       plan_phases, simulate_degree_estimation,
-                      simulate_mpc_f_approx, sparsify_hypergraph)
+                      simulate_mpc_f_approx)
 from .oracle import (RatioReport, exact_max_matching, exact_min_cover,
                      f_approx_bound, greedy_cover, harmonic, hdelta_bound,
                      matching_bound, measure_ratio)

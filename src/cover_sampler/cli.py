@@ -313,7 +313,7 @@ def cmd_verify_lemmas(args) -> int:
                 cell += 1
                 mean, ci = mean_ci95(counts)
                 sem = ci / _Z95
-                bound = p * hg.avg_rank * len(hg.edges)
+                bound = p * hg.avg_rank * hg.num_edges
                 rows.append(_row("sparsification", mean <= bound + 3 * sem,
                                  p=p, hypergraph=idx, value=f"{mean:.4f}",
                                  ci95=f"{ci:.4f}", bound=f"{bound:.4f}"))

@@ -15,13 +15,13 @@ Three solvers share one sampling law:
 All three commit through one engine, `_SweepState`, which also drives the
 phase simulator and the degree-estimation pass in ``mpc_sim``; it holds the
 one covered/chosen/residual bookkeeping.  Each sweep step and commit takes
-one of two paths, chosen from its batch size alone: a small batch walks the
-instance's tuple rows from Python, a large one gathers its CSR
-``indptr``/``indices`` arrays with numpy (the instance builder makes the
-arrays and cuts the rows from them).  Both paths charge the work counters
-from the same row lengths and leave the same state, so outputs and counters
-do not depend on the path.  Solvers are deterministic given (instance, eps,
-rng seed).
+one of two paths, chosen from its batch size alone: a large batch gathers
+the instance's CSR ``indptr``/``indices`` arrays, its only stored layout,
+with numpy; a small one walks its tuple rows from Python, a view the
+instance cuts from the arrays on first read and caches.  Both paths charge
+the work counters from the same row lengths and leave the same state, so
+outputs and counters do not depend on the path.  Solvers are deterministic
+given (instance, eps, rng seed).
 """
 
 from __future__ import annotations
@@ -127,12 +127,14 @@ class _SweepState:
     reproduces the plain sweep bit for bit.
 
     `sweep_step` and `commit` pick their path per call from the batch size
-    (see ``_VECTOR_MIN``).  The Python path loops over the tuple rows through
-    the ``bytearray``/``array`` buffers.  The numpy path gathers the
-    instance's CSR arrays: the uncovered sampled elements' sets, then
-    ``np.unique`` of the unchosen ones, their rows, and the sets of the newly
-    covered elements for one ``bincount`` residual update, all through numpy
-    views of the same buffers.  Counters are charged from the gathered sizes.
+    (see ``_VECTOR_MIN``), counting from the arrays, so a solve whose every
+    batch is large never cuts the tuple rows.  The Python path loops over the
+    cached tuple rows through the ``bytearray``/``array`` buffers.  The numpy
+    path gathers the instance's CSR arrays: the uncovered sampled elements'
+    sets, then ``np.unique`` of the unchosen ones, their rows, and the sets of
+    the newly covered elements for one ``bincount`` residual update, all
+    through numpy views of the same buffers.  Counters are charged from the
+    gathered sizes.
     """
 
     def __init__(self, instance: SetCoverInstance, counters: CostCounters):
@@ -140,7 +142,9 @@ class _SweepState:
         self.counters = counters
         self.covered_buf = bytearray(instance.num_elements)
         self.chosen_buf = bytearray(instance.num_sets)
-        self.residual_buf = array("q", map(len, instance.set_neighbors))
+        indptr = instance.set_csr[0]
+        self.row_length = array("q", (indptr[1:] - indptr[:-1]).astype(np.int64).tobytes())
+        self.residual_buf = array("q", self.row_length)
         self.covered = np.frombuffer(self.covered_buf, dtype=bool)
         self.set_chosen = np.frombuffer(self.chosen_buf, dtype=bool)
         self.residual = np.frombuffer(self.residual_buf, dtype=np.int64)
@@ -156,7 +160,7 @@ class _SweepState:
         if isinstance(sets, list):
             # rows too few to reach the crossover are not counted first
             vector = (len(sets) * inst.delta >= _VECTOR_MIN_ENTRIES
-                      and sum(map(len, map(inst.set_neighbors.__getitem__, sets)))
+                      and sum(map(self.row_length.__getitem__, sets))
                       >= _VECTOR_MIN_ENTRIES)
         else:
             indptr = inst.set_csr[0]

@@ -8,16 +8,18 @@ Text formats (line based, 0-based ids, ``c`` lines are comments):
 * hypergraph:  ``p hg <num_vertices> <num_edges>`` followed by one line per
   edge listing its vertex ids.
 
-Both builders check and sort whole id columns with numpy and keep each side
-as read-only CSR arrays (``indptr``/``indices``), the layout the numpy paths
-of the solvers and the sparsification counts read; the stored rows are tuples
-cut from the same arrays, one ``tolist()`` per side.
+Both builders check and sort whole id columns with numpy and store each side
+only as read-only CSR arrays (``indptr``/``indices``), the layout the numpy
+paths of the solvers, the serializers and the sparsification counts read.
+The tuple rows the small-batch Python paths walk are a view, cut from the
+arrays on first read (one ``tolist()`` per side) and cached on the object.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -30,27 +32,57 @@ _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-@dataclass(frozen=True)
-class SetCoverInstance:
+class _ByValue:
+    """``==`` and ``hash`` over every dataclass field, a CSR ``(indptr,
+    indices)`` pair by its values whatever its dtype."""
+
+    def _key(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(all(map(np.array_equal, a, b)) if isinstance(a, tuple) else a == b
+                   for a, b in zip(self._key(), other._key()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(tuple(x.astype(np.int64, copy=False).tobytes() for x in v)
+                          if isinstance(v, tuple) else v for v in self._key()))
+
+
+@dataclass(frozen=True, eq=False)
+class SetCoverInstance(_ByValue):
     """Immutable bipartite incidence structure between sets and elements.
 
     ``delta`` is the largest set size, ``freq`` the largest number of sets any
     single element belongs to, and ``m`` the total number of incidences.
-    ``set_csr`` and ``element_csr`` hold the same rows as read-only
+    ``set_csr`` and ``element_csr`` hold the rows as read-only
     ``(indptr, indices)`` arrays: row ``s`` of the set side is
-    ``indices[indptr[s]:indptr[s + 1]]``.  ``==``, ``hash`` and ``repr``
-    ignore them.
+    ``indices[indptr[s]:indptr[s + 1]]``.  They are the only stored layout,
+    and ``==`` and ``hash`` compare them by value.  ``set_neighbors`` and
+    ``element_neighbors`` are the same rows as tuples, cut from the arrays on
+    first read and cached.
     """
 
     num_sets: int
     num_elements: int
-    set_neighbors: tuple[tuple[int, ...], ...]
-    element_neighbors: tuple[tuple[int, ...], ...]
     delta: int
     freq: int
     m: int
-    set_csr: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
-    element_csr: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    set_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    element_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def set_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Row ``s``: the elements of set ``s``, ascending."""
+        return _rows(self.set_csr[1].tolist(), self.set_csr[0])
+
+    @cached_property
+    def element_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Row ``t``: the sets containing element ``t``, ascending."""
+        # one int object per set id, shared by every row that holds it
+        shared = np.array(range(self.num_sets), dtype=object)
+        return _rows(shared[self.element_csr[1]].tolist(), self.element_csr[0])
 
     @classmethod
     def from_edges(cls, num_sets: int, num_elements: int,
@@ -102,18 +134,12 @@ def _build_instance(num_sets: int, num_elements: int, sets: np.ndarray,
         raise InfeasibleInstance(f"element id {elem_degree.argmin()} has degree 0; "
                                  "no cover can include it")
     set_degree = np.bincount(sets, minlength=num_sets)
-    set_csr = _csr_arrays(set_degree, elems_by_set, num_elements)
     by_elem = _pair_order(elems, sets, num_elements, num_sets)
-    element_csr = _csr_arrays(elem_degree, sets[by_elem], num_sets)
-    # set rows get fresh ints, allocated in row order; element rows share one
-    # int object per set id
-    shared = np.array(range(num_sets), dtype=object)
     return SetCoverInstance(
         num_sets=num_sets, num_elements=num_elements,
-        set_neighbors=_rows(set_csr[1].tolist(), set_csr[0]),
-        element_neighbors=_rows(shared[element_csr[1]].tolist(), element_csr[0]),
         delta=int(set_degree.max(initial=0)), freq=int(elem_degree.max(initial=0)),
-        m=int(sets.size), set_csr=set_csr, element_csr=element_csr)
+        m=int(sets.size), set_csr=_csr_arrays(set_degree, elems_by_set, num_elements),
+        element_csr=_csr_arrays(elem_degree, sets[by_elem], num_sets))
 
 
 def _raise_first_bad_edge(num_sets: int, num_elements: int, edge_at,
@@ -175,20 +201,30 @@ def _text_ids(tokens: list[str]) -> tuple[np.ndarray, bool]:
         return np.array([_clamp(int(x)) for x in tokens], dtype=np.int64), True
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """Vertex set plus a list of hyperedges (sorted, duplicate-free id tuples).
+@dataclass(frozen=True, eq=False)
+class Hypergraph(_ByValue):
+    """Vertex set plus a list of hyperedges (sorted, duplicate-free id rows).
 
     ``rank`` is the largest edge size; ``avg_rank`` the mean edge size
     (0 when there are no edges).  ``edge_csr`` holds the edges as read-only
-    ``(indptr, indices)`` arrays, which ``==``, ``hash`` and ``repr`` ignore.
+    ``(indptr, indices)`` arrays, the only stored layout, which ``==`` and
+    ``hash`` compare by value; ``edges`` is the same rows as tuples, cut from
+    the arrays on first read and cached.
     """
 
     num_vertices: int
-    edges: tuple[tuple[int, ...], ...]
     rank: int
     avg_rank: float
-    edge_csr: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    edge_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """Row ``e``: the vertices of edge ``e``, ascending."""
+        return _rows(self.edge_csr[1].tolist(), self.edge_csr[0])
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edge_csr[0]) - 1
 
     @classmethod
     def from_edges(cls, num_vertices: int,
@@ -223,11 +259,9 @@ def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: list[int],
     ids = ids[_pair_order(edge_of, ids, len(sizes), num_vertices)]
     if ((ids[1:] == ids[:-1]) & (edge_of[1:] == edge_of[:-1])).any():
         _raise_first_bad_hyperedge(num_vertices, edge_at, len(sizes))
-    edge_csr = _csr_arrays(sizes, ids, num_vertices)
-    return Hypergraph(num_vertices=num_vertices, edges=_rows(ids.tolist(), edge_csr[0]),
-                      rank=max(sizes, default=0),
+    return Hypergraph(num_vertices=num_vertices, rank=max(sizes, default=0),
                       avg_rank=sum(sizes) / len(sizes) if sizes else 0.0,
-                      edge_csr=edge_csr)
+                      edge_csr=_csr_arrays(sizes, ids, num_vertices))
 
 
 def _raise_first_bad_hyperedge(num_vertices: int, edge_at, count: int) -> None:
@@ -338,10 +372,10 @@ def _raise_bad_edge_line(lines: list[str]) -> None:
 
 
 def serialize_instance(instance: SetCoverInstance) -> str:
+    indptr, elems = instance.set_csr
+    sets = np.repeat(np.arange(instance.num_sets), np.diff(indptr))
     out = [f"p sc {instance.num_sets} {instance.num_elements} {instance.m}"]
-    for s, neighbors in enumerate(instance.set_neighbors):
-        for t in neighbors:
-            out.append(f"e {s} {t}")
+    out.extend(map("e {} {}".format, sets.tolist(), elems.tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -385,9 +419,11 @@ def _raise_bad_vertex_line(lines: list[str]) -> None:
 
 
 def serialize_hypergraph(hg: Hypergraph) -> str:
-    out = [f"p hg {hg.num_vertices} {len(hg.edges)}"]
-    for e in hg.edges:
-        out.append(" ".join(str(v) for v in e))
+    indptr, vertices = hg.edge_csr
+    ids = list(map(str, vertices.tolist()))
+    bounds = indptr.tolist()
+    out = [f"p hg {hg.num_vertices} {hg.num_edges}"]
+    out.extend(" ".join(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
     return "\n".join(out) + "\n"
 
 
@@ -439,7 +475,6 @@ def to_hypergraph(instance: SetCoverInstance) -> Hypergraph:
     of the sets containing it, so the rank equals the instance frequency.
     Element rows are already sorted, duplicate-free and in range."""
     return Hypergraph(
-        num_vertices=instance.num_sets, edges=instance.element_neighbors,
-        rank=instance.freq,
+        num_vertices=instance.num_sets, rank=instance.freq,
         avg_rank=instance.m / instance.num_elements if instance.num_elements else 0.0,
         edge_csr=instance.element_csr)

@@ -36,7 +36,7 @@ class Matching:
 def hypergraph_matching(hg: Hypergraph, eps: float,
                         rng: np.random.Generator) -> tuple[Matching, CostCounters]:
     counters = CostCounters()
-    num_edges = len(hg.edges)
+    num_edges = hg.num_edges
     if num_edges == 0:
         return Matching(()), counters
     sched = schedule_for_max_size(hg.max_vertex_degree(), eps)
@@ -66,7 +66,7 @@ def verify_matching(hg: Hypergraph, matching: Matching) -> tuple[bool, int | Non
     the lowest conflicting vertex id."""
     use = Counter()
     for e in matching.edge_ids:
-        if not (0 <= e < len(hg.edges)):
+        if not (0 <= e < hg.num_edges):
             raise ValueError(f"edge id {e} out of range")
         for v in hg.edges[e]:
             use[v] += 1

@@ -215,24 +215,12 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     return state.cover(), report
 
 
-def sparsify_hypergraph(hg: Hypergraph, p: float,
-                        rng: np.random.Generator) -> tuple[Hypergraph, int]:
-    """Keep each edge independently with probability p; return the kept
-    subgraph and the number of vertices left with at least one edge."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
-    keep = rng.random(len(hg.edges)) < p
-    kept_edges = [e for e, k in zip(hg.edges, keep) if k]
-    non_isolated = len({v for e in kept_edges for v in e})
-    return Hypergraph.from_edges(hg.num_vertices, kept_edges), non_isolated
-
-
 def sparsify_non_isolated_counts(hg: Hypergraph, p: float, trials: int,
                                  rng: np.random.Generator) -> np.ndarray:
     """Vectorized non-isolated vertex counts over repeated sparsifications."""
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    num_edges = len(hg.edges)
+    num_edges = hg.num_edges
     if num_edges == 0:
         return np.zeros(trials, dtype=np.int64)
     indptr, vertices = hg.edge_csr

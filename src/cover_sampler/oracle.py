@@ -95,8 +95,8 @@ def exact_min_cover(instance: SetCoverInstance, limit: int = EXACT_COVER_LIMIT) 
 
 def exact_max_matching(hg: Hypergraph, limit: int = EXACT_MATCHING_LIMIT) -> int:
     """Exact maximum matching size by exhaustive search with pruning."""
-    if len(hg.edges) > limit:
-        raise TooLarge(f"{len(hg.edges)} edges exceeds the exact limit {limit}")
+    if hg.num_edges > limit:
+        raise TooLarge(f"{hg.num_edges} edges exceeds the exact limit {limit}")
     masks = _bitmasks(hg.edges)
     n = len(masks)
     best = 0

@@ -9,7 +9,7 @@ are indexed k, k-1, ..., 0 (decreasing).  Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,8 +126,6 @@ def build_alias(weights) -> AliasTable:
     scaled = w * (n / total)
     thresholds = np.ones(n, dtype=float)
     aliases = np.arange(n, dtype=np.int64)
-    from collections import deque
-
     small = deque(i for i in range(n) if scaled[i] < 1.0)
     large = deque(i for i in range(n) if scaled[i] >= 1.0)
     while small and large:
@@ -147,14 +145,9 @@ def build_alias(weights) -> AliasTable:
     return AliasTable(thresholds=thresholds, aliases=aliases)
 
 
-def sample_alias(table: AliasTable, rng: np.random.Generator, size: int | None = None):
-    """Draw one index (or ``size`` indices) from the table's distribution."""
+def sample_alias(table: AliasTable, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` indices from the table's distribution."""
     n = len(table)
-    if size is None:
-        slot = int(rng.integers(n))
-        if rng.random() < table.thresholds[slot]:
-            return slot
-        return int(table.aliases[slot])
     slots = rng.integers(0, n, size=size)
     u = rng.random(size)
     return np.where(u < table.thresholds[slots], slots, table.aliases[slots]).astype(np.int64)

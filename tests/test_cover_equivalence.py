@@ -20,7 +20,8 @@ from cover_sampler.cover import (Cover, NoisyExactSize, f_approx_bucketed, f_app
 from cover_sampler.instance import (Hypergraph, SetCoverInstance, generate_random_hypergraph,
                                     generate_random_instance, parse_hypergraph, parse_instance,
                                     serialize_hypergraph, serialize_instance, to_hypergraph)
-from cover_sampler.mpc_sim import simulate_degree_estimation, simulate_mpc_f_approx
+from cover_sampler.mpc_sim import (simulate_degree_estimation, simulate_mpc_f_approx,
+                                   sparsify_non_isolated_counts)
 from cover_sampler.util import derive_rng
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -190,25 +191,58 @@ def csr_rows(csr):
 
 @pytest.mark.parametrize("shape", [(6, 20, 2), (300, 3000, 3)])
 def test_csr_arrays_hold_the_rows(shape):
-    # every builder makes the arrays and cuts the tuple rows from them
+    # the arrays are the only stored layout: == and hash follow them, and the
+    # tuple rows are a view of them
     built = generate_random_instance(*shape, seed=5)
     edges = [(s, t) for s, row in enumerate(built.set_neighbors) for t in row]
-    for inst in (built,
-                 SetCoverInstance.from_edges(built.num_sets, built.num_elements, edges[::-1]),
-                 parse_instance(serialize_instance(built))):
-        assert inst == built
-        assert csr_rows(inst.set_csr) == list(inst.set_neighbors)
-        assert csr_rows(inst.element_csr) == list(inst.element_neighbors)
     hg = generate_random_hypergraph(shape[0], shape[1] // 2, 3, seed=5, min_size=1)
     dual = to_hypergraph(built)
     assert dual.edge_csr is built.element_csr
-    for h in (hg, Hypergraph.from_edges(hg.num_vertices, [e[::-1] for e in hg.edges]),
-              parse_hypergraph(serialize_hypergraph(hg)), dual):
+    instances = (built,
+                 SetCoverInstance.from_edges(built.num_sets, built.num_elements, edges[::-1]),
+                 parse_instance(serialize_instance(built)))
+    hypergraphs = (hg, Hypergraph.from_edges(hg.num_vertices, [e[::-1] for e in hg.edges]),
+                   parse_hypergraph(serialize_hypergraph(hg)))
+    duals = (dual, Hypergraph.from_edges(built.num_sets, built.element_neighbors))
+    for first, *others in (instances, hypergraphs, duals):
+        for other in others:
+            assert other == first and hash(other) == hash(first)
+    for inst in instances:
+        assert csr_rows(inst.set_csr) == list(inst.set_neighbors)
+        assert csr_rows(inst.element_csr) == list(inst.element_neighbors)
+    for h in hypergraphs + duals:
         assert csr_rows(h.edge_csr) == list(h.edges)
-    # ==, hash and repr ignore the arrays
-    empty = (np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32))
-    for obj, arrays in ((built, {"set_csr": empty, "element_csr": empty}),
-                        (dual, {"edge_csr": empty}), (hg, {"edge_csr": empty})):
-        other = replace(obj, **arrays)
-        assert other == obj and hash(other) == hash(obj) and repr(other) == repr(obj)
-        assert "csr" not in repr(obj)
+    # by value whatever the dtype; one changed incidence on any side differs
+    for obj, sides in ((built, ("set_csr", "element_csr")), (hg, ("edge_csr",))):
+        for side in sides:
+            indptr, indices = getattr(obj, side)
+            wide = replace(obj, **{side: (indptr.astype(np.int64), indices.astype(np.int64))})
+            assert wide == obj and hash(wide) == hash(obj)
+            changed = indices.copy()
+            changed[0] += 1
+            assert replace(obj, **{side: (indptr, changed)}) != obj
+
+
+ROW_VIEWS = {"set_neighbors", "element_neighbors", "edges"}
+
+
+def test_builders_and_array_readers_cut_no_rows():
+    edges = [(s, t) for t in range(40) for s in sorted({t % 7, (3 * t + 1) % 7})]
+    inst = SetCoverInstance.from_edges(7, 40, edges)
+    instances = [inst, parse_instance(serialize_instance(inst)),
+                 generate_random_instance(9, 50, 3, seed=2)]
+    hg = generate_random_hypergraph(20, 30, 3, seed=4, min_size=1)
+    hypergraphs = [hg, to_hypergraph(inst), parse_hypergraph(serialize_hypergraph(hg)),
+                   Hypergraph.from_edges(7, [(0, 3), (2, 5, 6), (1,)])]
+    for i in instances:
+        serialize_instance(i)
+    for h in hypergraphs:
+        serialize_hypergraph(h)
+        h.max_vertex_degree()
+        sparsify_non_isolated_counts(h, 0.5, 3, derive_rng(1))
+    for obj in instances + hypergraphs:
+        assert replace(obj) == obj and hash(replace(obj)) == hash(obj)
+        assert not ROW_VIEWS & vars(obj).keys(), type(obj).__name__
+    # the first read cuts the rows and caches them on the object
+    assert inst.set_neighbors is inst.set_neighbors and "set_neighbors" in vars(inst)
+    assert hg.edges is hg.edges and "edges" in vars(hg)
