@@ -8,6 +8,10 @@ adjacent to another collected edge are dropped at the end.  Conflicts between
 collected edges can only arise within a single step: an edge is tested against
 the deaths of earlier steps only, because a step's deaths are recorded after
 all its edges are tested.
+
+Dead vertices are kept in a set, so memory follows the edges, not the vertex
+count.  Every edge is tested once, so ``edge_touches`` is the incidence count;
+``element_touches`` counts the collected edges' vertices.
 """
 
 from __future__ import annotations
@@ -35,29 +39,25 @@ class Matching:
 
 def hypergraph_matching(hg: Hypergraph, eps: float,
                         rng: np.random.Generator) -> tuple[Matching, CostCounters]:
-    counters = CostCounters()
     num_edges = hg.num_edges
     if num_edges == 0:
-        return Matching(()), counters
+        return Matching(()), CostCounters()
     sched = schedule_for_max_size(hg.max_vertex_degree(), eps)
 
-    vertex_dead = np.zeros(hg.num_vertices, dtype=bool)
+    edges = hg.edges
+    dead: set[int] = set()
     collected: list[int] = []
-    for _, group in step_groups(sched, rng, num_edges):
-        counters.steps_executed += 1
-        batch = []
-        for e in group:
-            counters.edge_touches += len(hg.edges[e])
-            if not any(vertex_dead[v] for v in hg.edges[e]):
-                batch.append(e)
+    groups = step_groups(sched, rng, num_edges)
+    for _, group in groups:
+        batch = [e for e in group if dead.isdisjoint(edges[e])]
+        collected.extend(batch)
         for e in batch:
-            collected.append(e)
-            for v in hg.edges[e]:
-                counters.element_touches += 1
-                vertex_dead[v] = True
+            dead.update(edges[e])
 
-    vertex_use = Counter(v for e in collected for v in hg.edges[e])
-    kept = [e for e in collected if all(vertex_use[v] == 1 for v in hg.edges[e])]
+    vertex_use = Counter(v for e in collected for v in edges[e])
+    kept = [e for e in collected if all(vertex_use[v] == 1 for v in edges[e])]
+    counters = CostCounters(element_touches=vertex_use.total(),
+                            edge_touches=hg.edge_csr[1].size, steps_executed=len(groups))
     return Matching(tuple(sorted(kept))), counters
 
 

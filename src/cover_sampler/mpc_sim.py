@@ -225,13 +225,14 @@ def sparsify_non_isolated_counts(hg: Hypergraph, p: float, trials: int,
         return np.zeros(trials, dtype=np.int64)
     indptr, vertices = hg.edge_csr
     edge_of = np.repeat(np.arange(num_edges), np.diff(indptr))
+    # ranks among the vertices present, so no count is sized by the header
+    compact = np.unique(vertices, return_inverse=True)[1]
     counts = np.empty(trials, dtype=np.int64)
     # one row per trial draws the same stream as one trials x E draw, in
     # memory that does not grow with the trial count
     for r in range(trials):
         kept = rng.random(num_edges) < p
-        touched = np.bincount(vertices[kept[edge_of]], minlength=hg.num_vertices)
-        counts[r] = np.count_nonzero(touched)
+        counts[r] = np.count_nonzero(np.bincount(compact[kept[edge_of]]))
     return counts
 
 

@@ -94,10 +94,12 @@ def exact_min_cover(instance: SetCoverInstance, limit: int = EXACT_COVER_LIMIT) 
 
 
 def exact_max_matching(hg: Hypergraph, limit: int = EXACT_MATCHING_LIMIT) -> int:
-    """Exact maximum matching size by exhaustive search with pruning."""
+    """Exact maximum matching size by exhaustive search with pruning, over
+    bitmasks of each vertex's rank among those present (not its raw id)."""
     if hg.num_edges > limit:
         raise TooLarge(f"{hg.num_edges} edges exceeds the exact limit {limit}")
-    masks = _bitmasks(hg.edges)
+    rank = {v: r for r, v in enumerate(sorted(set().union(*hg.edges)))}
+    masks = _bitmasks([rank[v] for v in row] for row in hg.edges)
     n = len(masks)
     best = 0
 

@@ -89,12 +89,8 @@ def bucket_distribution(sched: Schedule) -> np.ndarray:
     """Probability that an item's first sampled step is i, over i = 0..k:
     p(i) * prod_{j>i} (1 - p(j)).  Sums to 1 because p(0) == 1."""
     p = probabilities(sched)
-    out = np.empty(sched.k + 1, dtype=float)
-    surv = 1.0
-    for i in range(sched.k, -1, -1):
-        out[i] = p[i] * surv
-        surv *= 1.0 - p[i]
-    return out
+    # cumprod multiplies the factors 1 - p(j) one at a time from j = k down
+    return p * np.concatenate((np.cumprod(1.0 - p[:0:-1])[::-1], [1.0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
-"""The per-incidence Python implementations the solvers, the phase simulator
-and the degree-estimation pass replaced, kept as references: each walks every
-incidence and charges every counter one visit at a time."""
+"""The per-incidence Python implementations the solvers, matching, the phase
+simulator and the degree-estimation pass replaced, kept as references: each
+walks every incidence and charges every counter one visit at a time.  Also
+the step loop that `bucket_distribution` replaced."""
 
 import math
 from collections import Counter, defaultdict
@@ -8,9 +9,11 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from cover_sampler.cover import BatchRecord, Cover, CostCounters, ExactSize
+from cover_sampler.matching import Matching
 from cover_sampler.mpc_sim import DegreeBatch, MpcReport, PhaseRecord, _max_ball_size, plan_phases
 from cover_sampler.schedule import (alias_for_schedule, probabilities, sample_alias,
-                                    schedule_for_frequency, schedule_for_max_size)
+                                    schedule_for_frequency, schedule_for_max_size,
+                                    step_groups)
 from cover_sampler.util import guarded_floor, meets_threshold
 
 
@@ -235,3 +238,42 @@ def ref_degree_estimation(instance, eps, level, rng):
         for s in sampled:
             state.commit(s, instance.set_neighbors[s])
     return batches, series
+
+
+def ref_bucket_distribution(sched):
+    p = probabilities(sched)
+    out = np.empty(sched.k + 1, dtype=float)
+    surv = 1.0
+    for i in range(sched.k, -1, -1):
+        out[i] = p[i] * surv
+        surv *= 1.0 - p[i]
+    return out
+
+
+def ref_matching(hg, eps, rng):
+    """Matching from a dead-vertex array sized by the header, read one
+    numpy scalar at a time, with every counter charged per visit."""
+    counters = CostCounters()
+    num_edges = hg.num_edges
+    if num_edges == 0:
+        return Matching(()), counters
+    sched = schedule_for_max_size(hg.max_vertex_degree(), eps)
+
+    vertex_dead = np.zeros(hg.num_vertices, dtype=bool)
+    collected: list[int] = []
+    for _, group in step_groups(sched, rng, num_edges):
+        counters.steps_executed += 1
+        batch = []
+        for e in group:
+            counters.edge_touches += len(hg.edges[e])
+            if not any(vertex_dead[v] for v in hg.edges[e]):
+                batch.append(e)
+        for e in batch:
+            collected.append(e)
+            for v in hg.edges[e]:
+                counters.element_touches += 1
+                vertex_dead[v] = True
+
+    vertex_use = Counter(v for e in collected for v in hg.edges[e])
+    kept = [e for e in collected if all(vertex_use[v] == 1 for v in hg.edges[e])]
+    return Matching(tuple(sorted(kept))), counters

@@ -1,13 +1,28 @@
-"""Matching solver: validity, trivial structures, the star lower bound, and
-the same-step-conflict structural property."""
+"""Matching solver: validity, trivial structures, the star lower bound, the
+same-step-conflict structural property, equality with the per-visit reference
+in ``_reference.py``, and memory that follows the edges on a hostile vertex
+header."""
+
+import os
+import subprocess
+import threading
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from _reference import ref_matching
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cover_sampler import (Hypergraph, Matching, exact_max_matching,
+from cover_sampler import (Hypergraph, Matching, cli, exact_max_matching,
                            generate_random_hypergraph, hypergraph_matching,
-                           verify_matching)
+                           parse_hypergraph, verify_matching)
+from cover_sampler.corpus import build_matching_corpus, build_sparsification_hypergraphs
+from cover_sampler.mpc_sim import sparsify_non_isolated_counts
 from cover_sampler.util import derive_rng, mean_ci95
+
+EQUIVALENCE_EPS = (0.01, 0.1, 0.25)
 
 
 def star(d=10):
@@ -84,3 +99,66 @@ def test_verify_matching_witness():
     assert verify_matching(hg, Matching((0, 1))) == (False, 1)
     with pytest.raises(ValueError):
         verify_matching(hg, Matching((9,)))
+
+
+def assert_same_as_reference(hg, eps, *seed):
+    m, counters = hypergraph_matching(hg, eps, derive_rng(*seed))
+    ref_m, ref_counters = ref_matching(hg, eps, derive_rng(*seed))
+    assert m == ref_m
+    assert astuple(counters) == astuple(ref_counters)
+
+
+@st.composite
+def hypergraphs(draw):
+    """Ranks 1-4 over a vertex range with isolated vertices, and ids drawn
+    from both ends of the range, so some sit next to ``num_vertices``."""
+    num_vertices = draw(st.integers(1, 5000))
+    ids = st.one_of(st.integers(0, min(num_vertices, 12) - 1),
+                    st.integers(max(num_vertices - 12, 0), num_vertices - 1))
+    edges = draw(st.lists(st.lists(ids, min_size=1, max_size=4, unique=True),
+                          max_size=40))
+    return Hypergraph.from_edges(num_vertices, edges)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hypergraphs(), st.sampled_from(EQUIVALENCE_EPS), st.integers(0, 2 ** 32 - 1))
+def test_matching_matches_reference(hg, eps, seed):
+    assert_same_as_reference(hg, eps, seed)
+
+
+@pytest.mark.parametrize("eps", EQUIVALENCE_EPS)
+def test_matching_matches_reference_on_corpora(eps):
+    for idx, hg in enumerate(build_matching_corpus() + build_sparsification_hypergraphs()):
+        for seed in range(5):
+            assert_same_as_reference(hg, eps, idx, seed)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a process or thread was started")
+
+
+def test_hostile_vertex_header_runs_in_bounded_memory(tmp_path, monkeypatch, capsys):
+    # 1e10 vertices: a dead array, a count or a bitmask sized by the header
+    # would need gigabytes; only vertex 9999999999 is present
+    text = "p hg 10000000000 1\n9999999999\n"
+    path = tmp_path / "hostile.hg"
+    path.write_text(text)
+    for target, name in ((subprocess, "Popen"), (os, "fork"), (os, "posix_spawn"),
+                         (threading.Thread, "start")):
+        monkeypatch.setattr(target, name, _refuse)
+    tracemalloc.start()
+    try:
+        hg = parse_hypergraph(text)
+        m, _ = hypergraph_matching(hg, 0.25, derive_rng(0))
+        counts = sparsify_non_isolated_counts(hg, 0.5, 20, derive_rng(1))
+        opt = exact_max_matching(hg)
+        valid = verify_matching(hg, m)
+        code = cli.main(["solve", str(path), "--alg", "match", "--eps", "0.25"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.edge_ids == (0,) and opt == 1 and valid == (True, None)
+    assert set(counts.tolist()) <= {0, 1}
+    assert code == 0
+    assert "match" in capsys.readouterr().out
+    assert peak < 4 * 2 ** 20

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from _reference import ref_bucket_distribution
 from scipy import stats
 
 from cover_sampler import (InvalidConfig, InvalidEpsilon, bucket_distribution, build_alias,
@@ -91,6 +92,14 @@ def test_bucket_distribution_sums_to_one():
     probs = bucket_distribution(sched)
     assert abs(probs.sum() - 1.0) <= 1e-12
     assert np.all(probs >= 0) and np.all(probs <= 1)
+
+
+@pytest.mark.parametrize("eps", (0.01, 0.05, 0.1, 0.25, 0.5))
+def test_bucket_distribution_matches_loop_bitwise(eps):
+    scheds = [make_schedule(eps, k) for k in range(30)]
+    scheds += [schedule_for_max_size(delta, eps) for delta in (1, 2, 7, 100)]
+    for sched in scheds:
+        assert bucket_distribution(sched).tobytes() == ref_bucket_distribution(sched).tobytes()
 
 
 def test_bucket_distribution_last_entry():
