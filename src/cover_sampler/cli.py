@@ -19,7 +19,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import re
 import sys
 
 from .corpus import (build_cover_corpus, build_matching_corpus,
@@ -27,9 +26,9 @@ from .corpus import (build_cover_corpus, build_matching_corpus,
 from .cover import (NoisyExactSize, f_approx_bucketed, f_approx_online,
                     hdelta_cover, verify_cover)
 from .errors import CoverSamplerError
-from .instance import (generate_random_hypergraph, generate_random_instance,
-                       parse_hypergraph, parse_instance, serialize_hypergraph,
-                       serialize_instance)
+from .instance import (Hypergraph, generate_random_hypergraph,
+                       generate_random_instance, parse_instance, parse_text,
+                       serialize_hypergraph, serialize_instance)
 from .matching import hypergraph_matching, verify_matching
 from .mpc_sim import (amplify_to_whp, plan_phases, simulate_degree_estimation,
                       simulate_mpc_f_approx, sparsify_non_isolated_counts)
@@ -76,23 +75,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-# a non-empty line between the line boundaries of str.splitlines
-_LINE = re.compile("[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
-
-
-def _sniff_kind(text: str) -> str:
-    # reads lines only up to the header, not the whole file
-    for match in _LINE.finditer(text):
-        stripped = match.group().strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        parts = stripped.split()
-        if len(parts) >= 2 and parts[0] == "p":
-            return parts[1]
-        break
-    raise CoverSamplerError("missing 'p sc' or 'p hg' header")
-
-
 def _load_target(args):
     """Enforce exactly one input source: a file or generator parameters."""
     sources = [s for s in (args.input, getattr(args, "gen_sc", None)) if s]
@@ -104,23 +86,17 @@ def _load_target(args):
             num_sets, num_elements, degree = (int(x) for x in args.gen_sc.split(":"))
         except ValueError as exc:
             raise CoverSamplerError("--gen-sc expects S:T:D integers") from exc
-        return "sc", generate_random_instance(num_sets, num_elements, degree,
-                                              seed=args.seed)
-    text = _read_text(args.input)
-    kind = _sniff_kind(text)
-    if kind == "sc":
-        return "sc", parse_instance(text)
-    if kind == "hg":
-        return "hg", parse_hypergraph(text)
-    raise CoverSamplerError(f"unknown instance kind {kind!r}")
+        return generate_random_instance(num_sets, num_elements, degree,
+                                        seed=args.seed)
+    return parse_text(_read_text(args.input))
 
 
 def cmd_solve(args) -> int:
-    kind, target = _load_target(args)
+    target = _load_target(args)
     if args.oracle_delta is not None and args.alg != "hdelta":
         raise CoverSamplerError("--oracle-delta applies only to --alg hdelta")
     if args.alg == "match":
-        if kind != "hg":
+        if not isinstance(target, Hypergraph):
             raise CoverSamplerError("--alg match needs a hypergraph input")
         if args.target_eps is not None:
             h = max(target.rank, 1)
@@ -132,7 +108,7 @@ def cmd_solve(args) -> int:
         solver = hypergraph_matching
         maximize = True
     else:
-        if kind != "sc":
+        if isinstance(target, Hypergraph):
             raise CoverSamplerError(f"--alg {args.alg} needs a set-cover input")
         if args.target_eps is not None:
             raise CoverSamplerError("--target-eps applies only to --alg match")
@@ -151,8 +127,6 @@ def cmd_solve(args) -> int:
 
         maximize = False
 
-    # schedule construction validates eps; do it eagerly for a clean error
-    make_schedule(eps_internal, 0)
     validator = verify_matching if args.alg == "match" else verify_cover
     solution, counters, copy_index = amplify_to_whp(
         solver, target, eps_internal, args.copies, seed=args.seed,
@@ -208,10 +182,7 @@ def cmd_mpc(args) -> int:
         raise CoverSamplerError("an instance file (or --delta-sweep) is required")
     if args.eps is None:
         raise CoverSamplerError("--eps required")
-    text = _read_text(args.input)
-    if _sniff_kind(text) != "sc":
-        raise CoverSamplerError("mpc simulation needs a set-cover input")
-    instance = parse_instance(text)
+    instance = parse_instance(_read_text(args.input))
     if args.alg == "hdelta-inner":
         trace = simulate_degree_estimation(instance, args.eps, args.j,
                                            derive_rng(args.seed, 0))

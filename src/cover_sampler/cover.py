@@ -73,8 +73,6 @@ class CostCounters:
 class ExactSize:
     """Size oracle returning the true residual size."""
 
-    delta = 0.0
-
     def estimate(self, set_id: int, residual_size: int) -> float:
         return float(residual_size)
 

@@ -8,6 +8,10 @@ Text formats (line based, 0-based ids, ``c`` lines are comments):
 * hypergraph:  ``p hg <num_vertices> <num_edges>`` followed by one line per
   edge listing its vertex ids.
 
+``parse_instance`` and ``parse_hypergraph`` read one format each;
+``parse_text`` reads either, chosen by the kind its header names.  All three
+check the header with one helper.
+
 Both builders check and sort whole id columns with numpy and store each side
 only as read-only CSR arrays (``indptr``/``indices``), the layout the numpy
 paths of the solvers, the serializers and the sparsification counts read.
@@ -278,9 +282,13 @@ def _raise_first_bad_hyperedge(num_vertices: int, edge_at, count: int) -> None:
                 raise ParseError(f"vertex id {v} out of range [0, {num_vertices})")
 
 
+# the header of each text format, by the kind it names
+_GRAMMARS = {"sc": "p sc S T M", "hg": "p hg V E"}
+
+
 def _header_and_body(text) -> tuple[str, list[str]]:
-    """The first line that is neither blank nor a comment, and the lines after
-    it without comment lines."""
+    """The first line that is neither blank nor a comment ('' when there is
+    none), and the lines after it without comment lines."""
     if not isinstance(text, str):
         text = "\n".join(str(line).rstrip("\n") for line in text)
     lines = text.splitlines()
@@ -288,7 +296,7 @@ def _header_and_body(text) -> tuple[str, list[str]]:
         if line.strip() and not _is_comment(line):
             break
     else:
-        raise ParseError("empty input")
+        return "", []
     body = lines[i + 1:]
     # no id contains a 'c', so a body without one has no comment lines
     if "c" in "".join(body):
@@ -300,19 +308,42 @@ def _is_comment(line: str) -> bool:
     return line.lstrip().startswith("c")
 
 
-def parse_instance(text) -> SetCoverInstance:
-    """Parse the ``p sc`` format from a string or an iterable of lines."""
-    header_line, body = _header_and_body(text)
+def _header_fields(header_line: str, kind: str) -> list[int]:
+    """The integer fields of ``header_line``, which must follow the header
+    grammar of ``kind``."""
+    if not header_line:
+        raise ParseError("empty input")
+    grammar = _GRAMMARS[kind]
     header = header_line.split()
-    if len(header) != 5 or header[0] != "p" or header[1] != "sc":
-        raise ParseError(f"bad header {header_line!r}; expected 'p sc S T M'")
+    if len(header) != len(grammar.split()) or header[:2] != ["p", kind]:
+        raise ParseError(f"bad header {header_line!r}; expected {grammar!r}")
     try:
-        num_sets, num_elements, num_edges = (int(x) for x in header[2:])
+        return [int(x) for x in header[2:]]
     except ValueError as exc:
         raise ParseError(f"non-integer header field in {header_line!r}") from exc
+
+
+def parse_text(text) -> SetCoverInstance | Hypergraph:
+    """Parse either format, chosen by the kind its header names; the text is
+    split into lines once."""
+    header_line, body = _header_and_body(text)
+    kind = header_line.split()[:2]
+    if kind == ["p", "sc"]:
+        return _parse_sc(header_line, body)
+    if kind == ["p", "hg"]:
+        return _parse_hg(header_line, body)
+    raise ParseError(f"bad header {header_line!r}; expected "
+                     + " or ".join(map(repr, _GRAMMARS.values())))
+
+
+def parse_instance(text) -> SetCoverInstance:
+    """Parse the ``p sc`` format from a string or an iterable of lines."""
+    return _parse_sc(*_header_and_body(text))
+
+
+def _parse_sc(header_line: str, body: list[str]) -> SetCoverInstance:
+    num_sets, num_elements, num_edges = _header_fields(header_line, "sc")
     sets, elems, edge_at = _edge_columns(body)
-    # the lines go before the build allocates the rows
-    del body
     if sets.size != num_edges:
         raise ParseError(f"header promises {num_edges} edges, found {sets.size}")
     # checked before the build allocates per-element arrays
@@ -382,14 +413,11 @@ def serialize_instance(instance: SetCoverInstance) -> str:
 def parse_hypergraph(text) -> Hypergraph:
     """Parse the ``p hg`` format.  A blank line in the edge section is an
     empty edge and is rejected."""
-    header_line, body = _header_and_body(text)
-    header = header_line.split()
-    if len(header) != 4 or header[0] != "p" or header[1] != "hg":
-        raise ParseError(f"bad header {header_line!r}; expected 'p hg V E'")
-    try:
-        num_vertices, num_edges = int(header[2]), int(header[3])
-    except ValueError as exc:
-        raise ParseError(f"non-integer header field in {header_line!r}") from exc
+    return _parse_hg(*_header_and_body(text))
+
+
+def _parse_hg(header_line: str, body: list[str]) -> Hypergraph:
+    num_vertices, num_edges = _header_fields(header_line, "hg")
     if not 0 <= num_edges <= len(body):
         raise ParseError(f"header promises {num_edges} edge lines, found {len(body)}")
     if any(line.strip() for line in body[num_edges:]):

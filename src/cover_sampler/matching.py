@@ -23,7 +23,7 @@ import numpy as np
 
 from .cover import CostCounters
 from .instance import Hypergraph
-from .schedule import schedule_for_max_size, step_groups
+from .schedule import compute_b, schedule_for_max_size, step_groups
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class Matching:
 
 def hypergraph_matching(hg: Hypergraph, eps: float,
                         rng: np.random.Generator) -> tuple[Matching, CostCounters]:
+    compute_b(eps)  # rejects a bad eps even when there is no work
     num_edges = hg.num_edges
     if num_edges == 0:
         return Matching(()), CostCounters()

@@ -19,8 +19,8 @@ import numpy as np
 
 from .cover import Cover, CostCounters, _SweepState
 from .instance import Hypergraph, SetCoverInstance
-from .schedule import (probabilities, schedule_for_frequency, schedule_for_max_size,
-                       step_groups)
+from .schedule import (compute_b, probabilities, schedule_for_frequency,
+                       schedule_for_max_size, step_groups)
 from .util import derive_rng, guarded_floor, meets_threshold
 
 
@@ -79,12 +79,7 @@ def plan_phases(delta: int, freq: int, eps: float, n: int) -> PhasePlan:
         case1_gate = math.inf
     # tau is non-decreasing in the step index, so the no-compression zone is
     # the prefix [0, gate_step]; compressed phases stop at its boundary
-    gate_step = -1
-    for i in range(sched.k + 1):
-        if TAU_CONSTANT * ln_n / p[i] <= max(case1_gate, 1.0):
-            gate_step = i
-        else:
-            break
+    gate_step = int(np.count_nonzero(TAU_CONSTANT * ln_n / p <= max(case1_gate, 1.0))) - 1
     phases: list[PlannedPhase] = []
     i = sched.k
     while i >= 0:
@@ -170,6 +165,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     The bucket draws are the only randomness, so for equal seeds the cover is
     bit-identical to ``f_approx_bucketed``.
     """
+    compute_b(eps)  # rejects a bad eps even when there is no work
     report = MpcReport()
     if instance.num_elements == 0:
         return Cover(()), report
@@ -265,6 +261,7 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     Sets whose estimate still reaches (1+eps)^level are sampled at the step
     probability, committed in batches, and removed with their elements.
     """
+    compute_b(eps)  # before the level cap divides by log1p(eps)
     log_base = math.log1p(eps)
     level_cap = guarded_floor(math.log(max(instance.delta, 1)) / log_base)
     if not (0 <= level <= level_cap):
@@ -300,9 +297,9 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
         if sampled.size == 0:
             continue
         trace.batches.append(DegreeBatch(
-            step=i, set_ids=tuple(int(s) for s in sampled),
-            estimates=tuple(float(estimates[s]) for s in sampled),
-            true_sizes=tuple(int(t) for t in state.residual[sampled])))
+            step=i, set_ids=tuple(sampled.tolist()),
+            estimates=tuple(estimates[sampled].tolist()),
+            true_sizes=tuple(state.residual[sampled].tolist())))
         state.commit(sampled)
         live = ~state.covered[edge_elems]
         edge_sets, edge_elems = edge_sets[live], edge_elems[live]

@@ -1,7 +1,8 @@
 """The per-incidence Python implementations the solvers, matching, the phase
 simulator and the degree-estimation pass replaced, kept as references: each
 walks every incidence and charges every counter one visit at a time.  Also
-the step loop that `bucket_distribution` replaced."""
+the step loop that `bucket_distribution` replaced and the planner whose
+no-compression zone was found by a loop over every step."""
 
 import math
 from collections import Counter, defaultdict
@@ -10,7 +11,9 @@ import numpy as np
 
 from cover_sampler.cover import BatchRecord, Cover, CostCounters, ExactSize
 from cover_sampler.matching import Matching
-from cover_sampler.mpc_sim import DegreeBatch, MpcReport, PhaseRecord, _max_ball_size, plan_phases
+from cover_sampler.mpc_sim import (CASE1_EXPONENT_SCALE, TAU_CONSTANT, DegreeBatch,
+                                   MpcReport, PhasePlan, PhaseRecord, PlannedPhase,
+                                   _max_ball_size, plan_phases)
 from cover_sampler.schedule import (alias_for_schedule, probabilities, sample_alias,
                                     schedule_for_frequency, schedule_for_max_size,
                                     step_groups)
@@ -277,3 +280,45 @@ def ref_matching(hg, eps, rng):
     vertex_use = Counter(v for e in collected for v in hg.edges[e])
     kept = [e for e in collected if all(vertex_use[v] == 1 for v in hg.edges[e])]
     return Matching(tuple(sorted(kept))), counters
+
+
+def ref_plan_phases(delta, freq, eps, n):
+    """The planner with its no-compression zone found step by step."""
+    if delta < 1 or freq < 1:
+        raise ValueError("delta and freq must be >= 1")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    sched = schedule_for_max_size(delta, eps)
+    p = probabilities(sched)
+    ln_n = math.log(n)
+    cap = max(1, math.ceil(math.log2(n)))
+    exponent = CASE1_EXPONENT_SCALE * (eps ** -2) * math.log(max(ln_n, 1.0 + 1e-12))
+    try:
+        case1_gate = ln_n ** exponent
+    except OverflowError:
+        case1_gate = math.inf
+    gate_step = -1
+    for i in range(sched.k + 1):
+        if TAU_CONSTANT * ln_n / p[i] <= max(case1_gate, 1.0):
+            gate_step = i
+        else:
+            break
+    phases = []
+    i = sched.k
+    while i >= 0:
+        tau = TAU_CONSTANT * ln_n / p[i]
+        if i <= gate_step:
+            case, r = 1, 1
+        else:
+            ln_tau = math.log(tau)
+            r2 = math.ceil(math.sqrt(ln_tau) / eps)
+            if freq >= 2 and freq > (1.0 + eps) ** (r2 / sched.b) * ln_n ** 2:
+                case, r = 3, math.ceil(ln_tau / math.log(freq))
+            else:
+                case, r = 2, r2
+            r = min(r, i - gate_step)
+        r = max(1, min(r, i + 1, cap))
+        phases.append(PlannedPhase(start_step=i, length=r, case_tag=case, tau=tau))
+        i -= r
+    return PhasePlan(phases=tuple(phases), k=sched.k,
+                     predicted_mpc_rounds=sum(ph.rounds for ph in phases))

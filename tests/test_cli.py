@@ -144,6 +144,41 @@ def test_solve_match_rejects_cover_input(capsys, sc_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["c only a comment\n\nc and another\n",
+                                  "p xx 1 2\n"], ids=["comments", "kind-xx"])
+def test_solve_names_both_headers_when_none_is_found(capsys, tmp_path, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", "--alg", "f-bucketed",
+                             "--eps", "0.25", str(path))
+    assert code == 1 and out == ""
+    assert "ParseError" in err and "expected 'p sc S T M' or 'p hg V E'" in err
+
+
+@pytest.mark.parametrize("argv, kind, message", [
+    (["mpc"], "hg", "expected 'p sc S T M'"),
+    (["solve", "--alg", "match"], "sc", "--alg match needs a hypergraph input"),
+    (["solve", "--alg", "f-bucketed"], "hg",
+     "--alg f-bucketed needs a set-cover input"),
+], ids=["mpc-hg", "match-sc", "bucketed-hg"])
+def test_input_kind_must_fit_the_command(capsys, sc_file, hg_file, argv, kind,
+                                         message):
+    code, out, err = run_cli(capsys, *argv, "--eps", "0.25",
+                             hg_file if kind == "hg" else sc_file)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_solve_reads_hypergraph_after_comments_and_blank_lines(capsys, tmp_path):
+    path = tmp_path / "input.hg"
+    path.write_bytes(b"c leading comment\r\n\n   \nc p sc 1 1 1\np hg 4 2\n0 1\n2 3\n")
+    code, out, _ = run_cli(capsys, "solve", "--alg", "match", "--eps", "0.25",
+                           str(path))
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert row["valid"] == "True" and row["size"] == "2"
+
+
 def test_solve_generated_input(capsys):
     code, out, _ = run_cli(capsys, "solve", "--alg", "f-bucketed",
                            "--eps", "0.25", "--gen-sc", "10:30:2", "--seed", "4")

@@ -1,0 +1,96 @@
+"""Every public entry point that takes eps rejects one outside (0, 1/2] with
+`InvalidEpsilon`, on an empty input as on a non-empty one, and the command
+line reports it as exit code 1 with no traceback.
+
+The sampling-process entries take a pool size, not an input; a pool of size 0
+is an `InvalidConfig` whatever eps, so their smallest case is a one-item pool.
+"""
+
+import math
+
+import pytest
+
+from cover_sampler import (InvalidEpsilon, SspConfig, cli,
+                           estimate_conditional_multiplicity, estimate_expected_rz,
+                           f_approx_bucketed, f_approx_online,
+                           generate_random_hypergraph, generate_random_instance,
+                           hdelta_cover, hypergraph_matching, parse_hypergraph,
+                           parse_instance, plan_phases, run_ssp,
+                           serialize_hypergraph, serialize_instance,
+                           simulate_degree_estimation, simulate_mpc_f_approx)
+from cover_sampler.ssp import MIN_TRIALS
+from cover_sampler.util import derive_rng
+
+BAD_EPS = (0.0, -1.0, math.nan, math.inf, 0.75)
+
+EMPTY_SC = "p sc 3 0 0\n"
+EMPTY_HG = "p hg 3 0\n"
+FULL_SC = serialize_instance(generate_random_instance(12, 40, 3, seed=5))
+FULL_HG = serialize_hypergraph(generate_random_hypergraph(14, 20, 3, seed=6))
+
+# name -> call(eps, empty): every entry, on its empty or its non-empty input
+ENTRIES = {
+    "f_approx_online": lambda eps, empty: f_approx_online(
+        parse_instance(EMPTY_SC if empty else FULL_SC), eps, derive_rng(0)),
+    "f_approx_bucketed": lambda eps, empty: f_approx_bucketed(
+        parse_instance(EMPTY_SC if empty else FULL_SC), eps, derive_rng(0)),
+    "hdelta_cover": lambda eps, empty: hdelta_cover(
+        parse_instance(EMPTY_SC if empty else FULL_SC), eps, derive_rng(0)),
+    "hypergraph_matching": lambda eps, empty: hypergraph_matching(
+        parse_hypergraph(EMPTY_HG if empty else FULL_HG), eps, derive_rng(0)),
+    "simulate_mpc_f_approx": lambda eps, empty: simulate_mpc_f_approx(
+        parse_instance(EMPTY_SC if empty else FULL_SC), eps, derive_rng(0)),
+    "simulate_degree_estimation": lambda eps, empty: simulate_degree_estimation(
+        parse_instance(EMPTY_SC if empty else FULL_SC), eps, 0, derive_rng(0)),
+    "plan_phases": lambda eps, empty: (
+        plan_phases(1, 1, eps, 2) if empty else plan_phases(300, 40, eps, 1000)),
+    "run_ssp": lambda eps, empty: run_ssp(
+        SspConfig(initial_size=1 if empty else 50, eps=eps)),
+    "estimate_expected_rz": lambda eps, empty: estimate_expected_rz(
+        SspConfig(initial_size=1 if empty else 50, eps=eps), MIN_TRIALS),
+    "estimate_conditional_multiplicity": lambda eps, empty:
+        estimate_conditional_multiplicity(
+            SspConfig(initial_size=1 if empty else 50, eps=eps), 0, MIN_TRIALS),
+}
+
+
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "full"])
+@pytest.mark.parametrize("eps", BAD_EPS, ids=str)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_library_entry_rejects_eps(entry, eps, empty):
+    with pytest.raises(InvalidEpsilon):
+        ENTRIES[entry](eps, empty)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {}
+    for name, text in (("empty.sc", EMPTY_SC), ("full.sc", FULL_SC),
+                       ("empty.hg", EMPTY_HG), ("full.hg", FULL_HG)):
+        (root / name).write_text(text)
+        paths[name] = str(root / name)
+    return paths
+
+
+COMMANDS = [
+    ("solve", "--alg", "f-online"),
+    ("solve", "--alg", "f-bucketed"),
+    ("solve", "--alg", "hdelta"),
+    ("solve", "--alg", "match"),
+    ("mpc",),
+    ("mpc", "--alg", "hdelta-inner"),
+]
+
+
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "full"])
+@pytest.mark.parametrize("eps", BAD_EPS, ids=str)
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_cli_rejects_eps(capsys, files, command, eps, empty):
+    kind = "hg" if "match" in command else "sc"
+    path = files[f"{'empty' if empty else 'full'}.{kind}"]
+    code = cli.main([*command, f"--eps={eps}", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert "InvalidEpsilon" in captured.err
+    assert "Traceback" not in captured.err

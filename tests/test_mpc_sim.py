@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _reference import ref_degree_estimation
+from _reference import ref_degree_estimation, ref_plan_phases
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -73,6 +73,26 @@ def test_plan_gate_beyond_float_range_leaves_every_step_in_case1():
     plan = plan_phases(16, 2, 0.02, 2 ** 20)
     assert all(p.case_tag == 1 and p.length == 1 for p in plan.phases)
     assert [p.start_step for p in plan.phases] == list(range(plan.k, -1, -1))
+
+
+def test_plan_matches_stepwise_reference():
+    # eps 0.01 runs one delta and freq (k = 32870 steps): with n = 2^20 its
+    # gate overflows, with n = 2 it is finite
+    gates = set()
+    for eps in (0.01, 0.05, 0.25, 0.5, math.sqrt(2) - 1):
+        for n in ((2, 2 ** 20) if eps == 0.01 else (2, 38, 1000, 2 ** 20)):
+            ln_n = math.log(n)
+            try:
+                gates.add(math.isinf(ln_n ** (mpc_sim.CASE1_EXPONENT_SCALE * eps ** -2
+                                              * math.log(max(ln_n, 1.0 + 1e-12)))))
+            except OverflowError:
+                gates.add(True)
+            grid = ([(1, 40)] if eps == 0.01 else
+                    [(d, f) for d in (1, 16, 300) for f in (1, 40, 10 ** 5)])
+            for delta, freq in grid:
+                assert (plan_phases(delta, freq, eps, n)
+                        == ref_plan_phases(delta, freq, eps, n))
+    assert gates == {False, True}
 
 
 def test_phase_simulation_at_small_eps_matches_bucketed_solver():
