@@ -9,8 +9,10 @@ Text formats (line based, 0-based ids, ``c`` lines are comments):
   edge listing its vertex ids.
 
 ``parse_instance`` and ``parse_hypergraph`` read one format each;
-``parse_text`` reads either, chosen by the kind its header names.  All three
-check the header with one helper.
+``parse_text`` reads either, chosen by the kind its header names.  A text in
+exactly the layout the serializers write is read as bytes with numpy; any
+other goes to the line reader.  Both readers hand the same id columns to the
+same header, count and build checks.
 
 Both builders check and sort whole id columns with numpy and store each side
 only as read-only CSR arrays (``indptr``/``indices``), the layout the numpy
@@ -34,6 +36,9 @@ from .util import derive_rng
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
+# the most sets an instance may have beyond its edge count (all but the
+# edge count of them empty), so no set count sizes memory far beyond the input
+MAX_EMPTY_SETS = 2 ** 20
 
 
 class _ByValue:
@@ -91,10 +96,13 @@ class SetCoverInstance(_ByValue):
     @classmethod
     def from_edges(cls, num_sets: int, num_elements: int,
                    edges: Iterable[Sequence[int]]) -> "SetCoverInstance":
-        """Instance from (set id, element id) pairs.  The first pair in input
-        order that is out of range or repeats an earlier pair raises
-        `ParseError`, as does a non-integer id; then the lowest element of
-        degree 0 raises `InfeasibleInstance`."""
+        """Instance from (set id, element id) pairs.  More elements than
+        pairs raise `InfeasibleInstance`; a negative or oversized count, or
+        more than `MAX_EMPTY_SETS` sets beyond the pair count, raises
+        `ParseError`.  Then the first pair in input order that is out of
+        range or repeats an earlier pair raises `ParseError`, as does a
+        non-integer id; then the lowest element of degree 0 raises
+        `InfeasibleInstance`."""
         edges = list(edges)
         if set(map(len, edges)) - {2}:
             raise ValueError("edges must be (set id, element id) pairs")
@@ -120,19 +128,27 @@ def _csr_arrays(lengths, column: np.ndarray,
 def _build_instance(num_sets: int, num_elements: int, sets: np.ndarray,
                     elems: np.ndarray, edge_at) -> SetCoverInstance:
     """Instance from parallel int64 id columns; ``edge_at(i)`` returns edge
-    ``i`` as given, for error messages."""
+    ``i`` as given, for error messages.  The header counts are checked
+    against the edge count before any array is sized by them."""
+    m = int(sets.size)
+    if num_elements > m:
+        raise InfeasibleInstance(f"{num_elements} elements but {m} edges, "
+                                 "so some element has degree 0")
     if num_sets < 0 or num_elements < 0:
         raise ParseError("negative size in header")
     if max(num_sets, num_elements) > _INT64_MAX:
         raise ParseError("size beyond int64")
+    if num_sets > m + MAX_EMPTY_SETS:
+        raise ParseError(f"{num_sets} sets but {m} edges; at most {MAX_EMPTY_SETS} "
+                         "sets beyond the edge count are allowed")
     bad = (sets < 0) | (sets >= num_sets) | (elems < 0) | (elems >= num_elements)
     if bad.any():
-        _raise_first_bad_edge(num_sets, num_elements, edge_at, sets.size)
+        _raise_first_bad_edge(num_sets, num_elements, edge_at, m)
     # sorted by (set, element), a repeated edge sits next to its copy
     order = _pair_order(sets, elems, num_sets, num_elements)
     by_set, elems_by_set = sets[order], elems[order]
     if ((by_set[1:] == by_set[:-1]) & (elems_by_set[1:] == elems_by_set[:-1])).any():
-        _raise_first_bad_edge(num_sets, num_elements, edge_at, sets.size)
+        _raise_first_bad_edge(num_sets, num_elements, edge_at, m)
     elem_degree = np.bincount(elems, minlength=num_elements)
     if not elem_degree.all():
         raise InfeasibleInstance(f"element id {elem_degree.argmin()} has degree 0; "
@@ -142,7 +158,7 @@ def _build_instance(num_sets: int, num_elements: int, sets: np.ndarray,
     return SetCoverInstance(
         num_sets=num_sets, num_elements=num_elements,
         delta=int(set_degree.max(initial=0)), freq=int(elem_degree.max(initial=0)),
-        m=int(sets.size), set_csr=_csr_arrays(set_degree, elems_by_set, num_elements),
+        m=m, set_csr=_csr_arrays(set_degree, elems_by_set, num_elements),
         element_csr=_csr_arrays(elem_degree, sets[by_elem], num_sets))
 
 
@@ -238,8 +254,8 @@ class Hypergraph(_ByValue):
         (`EmptyEdge` or `ParseError`), as does a non-integer id."""
         edges = list(edges)
         ids = _id_array(list(chain.from_iterable(edges)))
-        return _build_hypergraph(num_vertices, ids, list(map(len, edges)),
-                                 edges.__getitem__)
+        sizes = np.array([len(e) for e in edges], dtype=np.int64)
+        return _build_hypergraph(num_vertices, ids, sizes, edges.__getitem__)
 
     def max_vertex_degree(self) -> int:
         """Largest vertex degree, counted in O(incidences) memory even when
@@ -247,7 +263,7 @@ class Hypergraph(_ByValue):
         return int(np.unique(self.edge_csr[1], return_counts=True)[1].max(initial=0))
 
 
-def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: list[int],
+def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: np.ndarray,
                       edge_at) -> Hypergraph:
     """Hypergraph from the concatenated vertex ids of edges with the given
     sizes; ``edge_at(i)`` returns edge ``i`` as given, for error messages."""
@@ -256,15 +272,15 @@ def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: list[int],
     if num_vertices > _INT64_MAX:
         raise ParseError("vertex count beyond int64")
     edge_of = np.repeat(np.arange(len(sizes)), sizes)
-    if 0 in sizes or ((ids < 0) | (ids >= num_vertices)).any():
+    if not sizes.all() or ((ids < 0) | (ids >= num_vertices)).any():
         _raise_first_bad_hyperedge(num_vertices, edge_at, len(sizes))
     # sorting within each edge keeps the edges in place and puts a repeated
     # vertex next to its copy
     ids = ids[_pair_order(edge_of, ids, len(sizes), num_vertices)]
     if ((ids[1:] == ids[:-1]) & (edge_of[1:] == edge_of[:-1])).any():
         _raise_first_bad_hyperedge(num_vertices, edge_at, len(sizes))
-    return Hypergraph(num_vertices=num_vertices, rank=max(sizes, default=0),
-                      avg_rank=sum(sizes) / len(sizes) if sizes else 0.0,
+    return Hypergraph(num_vertices=num_vertices, rank=int(sizes.max(initial=0)),
+                      avg_rank=ids.size / len(sizes) if len(sizes) else 0.0,
                       edge_csr=_csr_arrays(sizes, ids, num_vertices))
 
 
@@ -284,84 +300,151 @@ def _raise_first_bad_hyperedge(num_vertices: int, edge_at, count: int) -> None:
 
 # the header of each text format, by the kind it names
 _GRAMMARS = {"sc": "p sc S T M", "hg": "p hg V E"}
+# the bytes that close the three tokens of an ``e <set> <element>`` line
+_SC_CLOSERS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
+# the letters a serializer writes, read as spaces by the id conversion
+_LETTERS_AS_SPACES = bytes.maketrans(b"pschge", b"      ")
+# every id of at most this many digits fits int64
+_MAX_ID_DIGITS = 18
 
 
-def _header_and_body(text) -> tuple[str, list[str]]:
-    """The first line that is neither blank nor a comment ('' when there is
-    none), and the lines after it without comment lines."""
+def parse_text(text) -> SetCoverInstance | Hypergraph:
+    """Parse either format, chosen by the kind its header names."""
+    return _parse(text, ("sc", "hg"))
+
+
+def parse_instance(text) -> SetCoverInstance:
+    """Parse the ``p sc`` format from a string or an iterable of lines."""
+    return _parse(text, ("sc",))
+
+
+def parse_hypergraph(text) -> Hypergraph:
+    """Parse the ``p hg`` format.  A blank line in the edge section is an
+    empty edge and is rejected."""
+    return _parse(text, ("hg",))
+
+
+def _parse(text, kinds: tuple[str, ...]) -> SetCoverInstance | Hypergraph:
+    """Parse ``text`` in the format of one of ``kinds``.  A text laid out
+    exactly as a serializer writes it is read as bytes, any other by lines;
+    both readers hand the same id columns to the same checks, so the result
+    or error does not depend on the reader."""
     if not isinstance(text, str):
         text = "\n".join(str(line).rstrip("\n") for line in text)
+    kind, fields, columns = _read_layout(text, kinds) or _read_lines(text, kinds)
+    if kind == "hg":
+        return _build_hypergraph(fields[0], *columns)
+    num_sets, num_elements, num_edges = fields
+    sets, elems, edge_at = columns
+    if sets.size != num_edges:
+        raise ParseError(f"header promises {num_edges} edges, found {sets.size}")
+    return _build_instance(num_sets, num_elements, sets, elems, edge_at)
+
+
+def _header_fields(header_line: str, kinds: tuple[str, ...]) -> tuple[str, list[int]]:
+    """The kind and integer fields of ``header_line``, which must follow the
+    header grammar of one of ``kinds``."""
+    if not header_line:
+        raise ParseError("empty input")
+    header = header_line.split()
+    kind = next((k for k in kinds if header[:2] == ["p", k]), None)
+    if kind is None or len(header) != len(_GRAMMARS[kind].split()):
+        grammars = [_GRAMMARS[kind]] if kind else map(_GRAMMARS.get, kinds)
+        raise ParseError(f"bad header {header_line!r}; expected "
+                         + " or ".join(map(repr, grammars)))
+    try:
+        return kind, [int(x) for x in header[2:]]
+    except ValueError as exc:
+        raise ParseError(f"non-integer header field in {header_line!r}") from exc
+
+
+def _read_layout(text: str, kinds: tuple[str, ...]):
+    """(kind, header fields, id columns) of a text in exactly the layout the
+    serializers write, else None; it never raises.  The header is the first
+    line, with single spaces; each later line is ``e <id> <id>`` (``p sc``)
+    or ids (``p hg``), every token closed by one space or newline and every
+    id of at most 18 digits; for ``p hg`` one line per promised edge.  The
+    final newline may be missing.  All ids are converted in one numpy call."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    head_end = data.index(b"\n")
+    header = data[:head_end].split(b" ")
+    kind = header[1].decode() if len(header) > 1 else None
+    if (header[0] != b"p" or kind not in kinds
+            or len(header) != len(_GRAMMARS[kind].split())
+            or not all(map(bytes.isdigit, header[2:]))):
+        return None
+    _, fields = _header_fields(data[:head_end].decode(), kinds)
+    letters = data.translate(None, b"0123456789 \n")
+    # from the header's newline on, each token ends at the next space or
+    # newline; gaps are the token lengths plus one, and the newlines among
+    # the closers are the edge bounds in token index
+    view = np.frombuffer(data, np.uint8)[head_end:]
+    cuts = (view < ord("0")).nonzero()[0]
+    gaps = cuts[1:] - cuts[:-1]
+    closers = view[cuts]
+    if kind == "sc":
+        lines = gaps.size // 3
+        # every line is an e and two tokens, and the only letters are the
+        # header's and one e per line, so every id is digits
+        if (gaps.size != 3 * lines or letters != b"psc" + b"e" * lines
+                or not (closers[1:].reshape(-1, 3) == _SC_CLOSERS).all()
+                or not (gaps[0::3] == 2).all()
+                or not (view[cuts[1::3] - 1] == ord("e")).all()):
+            return None
+    else:
+        bounds = (closers == ord("\n")).nonzero()[0]
+        if letters != b"phg" or bounds.size - 1 != fields[1]:
+            return None
+    if np.minimum.reduce(gaps, initial=2) < 2 or np.maximum.reduce(
+            gaps, initial=2) > _MAX_ID_DIGITS + 1:
+        return None
+    ids = np.fromstring(data.translate(_LETTERS_AS_SPACES), dtype=np.int64,
+                        sep=" ")[len(fields):]
+    if kind == "sc":
+        sets, elems = ids.reshape(-1, 2).T.copy()   # two contiguous columns
+        return kind, fields, (sets, elems, lambda i: (int(sets[i]), int(elems[i])))
+    return kind, fields, (ids, bounds[1:] - bounds[:-1],
+                          lambda i: ids[bounds[i]:bounds[i + 1]].tolist())
+
+
+def _read_lines(text: str, kinds: tuple[str, ...]):
+    """(kind, header fields, id columns) of any text the formats allow:
+    comment and blank lines, any whitespace, any integer ``int()`` reads.
+    Raises for a bad header or edge section."""
+    header_line, body = _header_and_body(text)
+    kind, fields = _header_fields(header_line, kinds)
+    if kind == "sc":
+        return kind, fields, _edge_columns(body)
+    return kind, fields, _vertex_columns(fields[1], body)
+
+
+def _header_and_body(text: str) -> tuple[str, list[str]]:
+    """The first line that is neither blank nor a comment ('' when there is
+    none), and the lines after it without comment lines."""
     lines = text.splitlines()
     for i, line in enumerate(lines):
         if line.strip() and not _is_comment(line):
             break
     else:
         return "", []
-    body = lines[i + 1:]
-    # no id contains a 'c', so a body without one has no comment lines
-    if "c" in "".join(body):
-        body = [line for line in body if not _is_comment(line)]
-    return lines[i], body
+    return lines[i], [line for line in lines[i + 1:] if not _is_comment(line)]
 
 
 def _is_comment(line: str) -> bool:
     return line.lstrip().startswith("c")
 
 
-def _header_fields(header_line: str, kind: str) -> list[int]:
-    """The integer fields of ``header_line``, which must follow the header
-    grammar of ``kind``."""
-    if not header_line:
-        raise ParseError("empty input")
-    grammar = _GRAMMARS[kind]
-    header = header_line.split()
-    if len(header) != len(grammar.split()) or header[:2] != ["p", kind]:
-        raise ParseError(f"bad header {header_line!r}; expected {grammar!r}")
-    try:
-        return [int(x) for x in header[2:]]
-    except ValueError as exc:
-        raise ParseError(f"non-integer header field in {header_line!r}") from exc
-
-
-def parse_text(text) -> SetCoverInstance | Hypergraph:
-    """Parse either format, chosen by the kind its header names; the text is
-    split into lines once."""
-    header_line, body = _header_and_body(text)
-    kind = header_line.split()[:2]
-    if kind == ["p", "sc"]:
-        return _parse_sc(header_line, body)
-    if kind == ["p", "hg"]:
-        return _parse_hg(header_line, body)
-    raise ParseError(f"bad header {header_line!r}; expected "
-                     + " or ".join(map(repr, _GRAMMARS.values())))
-
-
-def parse_instance(text) -> SetCoverInstance:
-    """Parse the ``p sc`` format from a string or an iterable of lines."""
-    return _parse_sc(*_header_and_body(text))
-
-
-def _parse_sc(header_line: str, body: list[str]) -> SetCoverInstance:
-    num_sets, num_elements, num_edges = _header_fields(header_line, "sc")
-    sets, elems, edge_at = _edge_columns(body)
-    if sets.size != num_edges:
-        raise ParseError(f"header promises {num_edges} edges, found {sets.size}")
-    # checked before the build allocates per-element arrays
-    if num_elements > num_edges:
-        raise InfeasibleInstance(f"{num_elements} elements but {num_edges} edges, "
-                                 "so some element has degree 0")
-    return _build_instance(num_sets, num_elements, sets, elems, edge_at)
-
-
 def _edge_columns(body: list[str]):
     """(set ids, element ids, edge_at) of the edge lines; ``edge_at`` keeps
     the tokens only when the columns do not hold every id as written."""
-    table = _edge_table(body)
+    lines = [line for line in body if line.strip()]
+    table = _edge_table([line.strip() for line in lines])
     if table is None:
-        lines = [line for line in body if line.strip()]
-        table = _edge_table([line.strip() for line in lines])
-        if table is None:
-            _raise_bad_edge_line(lines)
+        _raise_bad_edge_line(lines)
     sets, elems, tokens = table
     if tokens is not None:
         return sets, elems, lambda i: (int(tokens[3 * i + 1]), int(tokens[3 * i + 2]))
@@ -410,28 +493,22 @@ def serialize_instance(instance: SetCoverInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_hypergraph(text) -> Hypergraph:
-    """Parse the ``p hg`` format.  A blank line in the edge section is an
-    empty edge and is rejected."""
-    return _parse_hg(*_header_and_body(text))
-
-
-def _parse_hg(header_line: str, body: list[str]) -> Hypergraph:
-    num_vertices, num_edges = _header_fields(header_line, "hg")
+def _vertex_columns(num_edges: int, body: list[str]):
+    """(vertex ids, edge sizes, edge_at) of the first ``num_edges`` lines of
+    ``body``; the lines after them must be blank."""
     if not 0 <= num_edges <= len(body):
         raise ParseError(f"header promises {num_edges} edge lines, found {len(body)}")
     if any(line.strip() for line in body[num_edges:]):
         raise ParseError(f"unexpected content after {num_edges} edge lines")
     lines = body[:num_edges]
-    sizes = list(map(len, map(str.split, lines)))
+    sizes = np.array([len(line.split()) for line in lines], dtype=np.int64)
     try:
-        ids = None if 0 in sizes else _text_ids("\n".join(lines).split())[0]
+        ids = _text_ids("\n".join(lines).split())[0] if sizes.all() else None
     except ValueError:
         ids = None
     if ids is None:
         _raise_bad_vertex_line(lines)
-    return _build_hypergraph(num_vertices, ids, sizes,
-                             lambda i: [int(x) for x in lines[i].split()])
+    return ids, sizes, lambda i: [int(x) for x in lines[i].split()]
 
 
 def _raise_bad_vertex_line(lines: list[str]) -> None:

@@ -144,8 +144,7 @@ def test_solve_match_rejects_cover_input(capsys, sc_file):
     assert code == 1
 
 
-@pytest.mark.parametrize("text", ["c only a comment\n\nc and another\n",
-                                  "p xx 1 2\n"], ids=["comments", "kind-xx"])
+@pytest.mark.parametrize("text", ["p xx 1 2\n", "x y\n"], ids=["kind-xx", "no-p"])
 def test_solve_names_both_headers_when_none_is_found(capsys, tmp_path, text):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -153,6 +152,19 @@ def test_solve_names_both_headers_when_none_is_found(capsys, tmp_path, text):
                              "--eps", "0.25", str(path))
     assert code == 1 and out == ""
     assert "ParseError" in err and "expected 'p sc S T M' or 'p hg V E'" in err
+
+
+@pytest.mark.parametrize("text", ["", "c only a comment\n\nc and another\n", "\n  \n"],
+                         ids=["empty-file", "comments", "blank-lines"])
+@pytest.mark.parametrize("command", [["solve", "--alg", "f-bucketed"], ["mpc"]],
+                         ids=["solve", "mpc"])
+def test_input_without_header_is_empty_input(capsys, tmp_path, text, command):
+    # solve reads either format and mpc only set cover; both say the same
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *command, "--eps", "0.25", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: ParseError: empty input\n"
 
 
 @pytest.mark.parametrize("argv, kind, message", [
@@ -167,6 +179,18 @@ def test_input_kind_must_fit_the_command(capsys, sc_file, hg_file, argv, kind,
                              hg_file if kind == "hg" else sc_file)
     assert code == 1 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("header, error", [("p sc 1 10000000 1", "InfeasibleInstance"),
+                                           ("p sc 1000000000 1 1", "ParseError")],
+                         ids=["elements", "sets"])
+def test_cli_rejects_oversized_set_cover_header(capsys, tmp_path, header, error):
+    path = tmp_path / "input.sc"
+    path.write_text(f"{header}\ne 0 0\n")
+    code, out, err = run_cli(capsys, "solve", "--alg", "f-bucketed",
+                             "--eps", "0.25", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {error}: ") and "Traceback" not in err
 
 
 def test_solve_reads_hypergraph_after_comments_and_blank_lines(capsys, tmp_path):

@@ -8,7 +8,7 @@ from cover_sampler import (EmptyEdge, InfeasibleInstance, ParseError,
                            generate_random_hypergraph, generate_random_instance,
                            parse_hypergraph, parse_instance, serialize_hypergraph,
                            serialize_instance, to_hypergraph)
-from cover_sampler.instance import Hypergraph, SetCoverInstance
+from cover_sampler.instance import MAX_EMPTY_SETS, Hypergraph, SetCoverInstance
 
 
 def test_parse_single_set_covering_two_elements():
@@ -33,15 +33,32 @@ def test_parse_uncovered_element_is_infeasible():
 
 
 def test_parse_rejects_element_count_before_allocating():
-    # one list per header element would take hundreds of MB
-    tracemalloc.start()
-    try:
-        with pytest.raises(InfeasibleInstance, match="10000000 elements"):
-            parse_instance("p sc 1 10000000 1\ne 0 0")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    # an array per header element or set would take from 76 MB to GBs
+    for build, error, message in [
+        (lambda: parse_instance("p sc 1 10000000 1\ne 0 0"),
+         InfeasibleInstance, "10000000 elements but 1 edges"),
+        (lambda: SetCoverInstance.from_edges(1, 10 ** 7, [(0, 0)]),
+         InfeasibleInstance, "10000000 elements but 1 edges"),
+        (lambda: parse_instance("p sc 10000000 1 1\ne 0 0\n"),
+         ParseError, "10000000 sets but 1 edges"),
+        (lambda: SetCoverInstance.from_edges(10 ** 9, 1, [(0, 0)]),
+         ParseError, "1000000000 sets but 1 edges"),
+    ]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, message
+
+
+def test_set_count_cap_admits_empty_sets_up_to_the_cap():
+    inst = parse_instance(f"p sc {1 + MAX_EMPTY_SETS} 1 1\ne 0 0\n")
+    assert inst.num_sets == 1 + MAX_EMPTY_SETS and inst.delta == 1
+    with pytest.raises(ParseError, match="sets beyond the edge count"):
+        SetCoverInstance.from_edges(2 + MAX_EMPTY_SETS, 1, [(0, 0)])
 
 
 @pytest.mark.parametrize("text", [

@@ -1,6 +1,10 @@
 """The array-backed instance build and parse against the per-edge loops they
 replaced: equal instances and hypergraphs, or the same exception type and
-message, on random edge lists and texts; plus serialize/parse round trips."""
+message, on random edge lists and texts, on serializer-layout texts and on
+single changes that move them off that layout; plus serialize/parse round
+trips, which must take the byte reader."""
+
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from cover_sampler import (EmptyEdge, InfeasibleInstance, ParseError,
                            parse_hypergraph, parse_instance,
                            serialize_hypergraph, serialize_instance,
                            to_hypergraph)
-from cover_sampler.instance import Hypergraph, SetCoverInstance
+from cover_sampler import instance as instance_module
+from cover_sampler.instance import Hypergraph, SetCoverInstance, parse_text
 
 SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -28,6 +33,11 @@ def reference_csr(rows):
 
 
 def reference_from_edges(num_sets, num_elements, edges):
+    # the element count is checked against the edge count first, before
+    # any list is sized by it
+    if num_elements > len(edges):
+        raise InfeasibleInstance(f"{num_elements} elements but {len(edges)} edges, "
+                                 "so some element has degree 0")
     if num_sets < 0 or num_elements < 0:
         raise ParseError("negative size in header")
     set_adj = [[] for _ in range(num_sets)]
@@ -324,3 +334,143 @@ def test_hypergraph_round_trip(hg):
 @given(instances())
 def test_to_hypergraph_matches_from_edges(inst):
     assert to_hypergraph(inst) == Hypergraph.from_edges(inst.num_sets, inst.element_neighbors)
+
+
+# --- the byte reader against the line-by-line references ------------------------
+
+layout_ids = st.one_of(st.integers(0, 6), st.integers(0, 6), st.integers(0, 10 ** 18 - 1))
+
+
+@st.composite
+def serialized_sc(draw):
+    """Text in the serializer's layout, valid or not: ids may repeat or be
+    out of range and the promised edge count may be wrong."""
+    num_sets, num_elements = draw(sizes), draw(sizes)
+    edges = draw(st.lists(st.tuples(layout_ids, layout_ids), max_size=8))
+    promised = draw(st.sampled_from([len(edges)] * 3 + [0, len(edges) + 1]))
+    lines = [f"p sc {num_sets} {num_elements} {promised}"]
+    lines += [f"e {s} {t}" for s, t in edges]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def serialized_hg(draw):
+    num_vertices = draw(sizes)
+    edges = draw(st.lists(st.lists(layout_ids, min_size=1, max_size=4), max_size=6))
+    promised = draw(st.sampled_from([len(edges)] * 3 + [0, len(edges) + 1]))
+    lines = [f"p hg {num_vertices} {promised}"]
+    lines += [" ".join(map(str, edge)) for edge in edges]
+    return "\n".join(lines) + "\n"
+
+
+MUTATIONS = ["none", "double-space", "tab", "crlf", "leading-space", "blank-line",
+             "comment-line", "plus", "arabic-digit", "19-digits", "20-digits",
+             "no-final-newline", "trailing-blank-lines", "e-in-id", "tag-after-id",
+             "id-glued-to-tag"]
+
+
+def mutate(draw, text, name):
+    """``text`` with the one change ``name``, each of which moves a text off
+    the serializer's layout; an id change applies to an id after the header
+    (the text is returned as it is when there is none)."""
+    def position(char):
+        return draw(st.sampled_from([i for i, c in enumerate(text) if c == char]))
+
+    line_start = draw(st.sampled_from([0] + [i + 1 for i, c in enumerate(text[:-1])
+                                             if c == "\n"]))
+    body = [m for m in re.finditer(r"\d+", text) if m.start() > text.index("\n")]
+    token = draw(st.sampled_from(body)) if body else None
+    if name == "double-space":
+        at = position(" ")
+        return text[:at] + " " + text[at:]
+    if name == "tab":
+        at = position(" ")
+        return text[:at] + "\t" + text[at + 1:]
+    if name == "crlf":
+        at = position("\n")
+        return text[:at] + "\r" + text[at:]
+    if name in ("leading-space", "blank-line", "comment-line"):
+        piece = {"leading-space": " ", "blank-line": "\n", "comment-line": "c e 1 2\n"}[name]
+        return text[:line_start] + piece + text[line_start:]
+    if name == "no-final-newline":
+        return text[:-1]
+    if name == "trailing-blank-lines":
+        return text + draw(st.sampled_from(["\n", "\n\n", " \n"]))
+    if name == "tag-after-id":
+        # "e 5 3" to "5 e 3": three tokens, one e, but not at the line start
+        return re.sub(r"(?m)^e (\d+)", r"\1 e", text, count=1)
+    if name == "id-glued-to-tag":
+        return re.sub(r"(?m)^e ", "5e ", text, count=1)
+    if name == "none" or token is None:
+        return text
+    old = token.group()
+    if name in ("19-digits", "20-digits"):
+        # the same id zero-padded, or an id of that many digits
+        width = int(name[:2])
+        new = draw(st.sampled_from([old.zfill(width),
+                                    str(10 ** (width - 1) + int(old) % 10 ** 18)]))
+    else:
+        new = {"plus": "+" + old, "arabic-digit": old[:-1] + "\u0663",
+               "e-in-id": old[:1] + "e" + old[1:]}[name]
+    return text[:token.start()] + new + text[token.end():]
+
+
+@SETTINGS
+@given(serialized_sc(), st.sampled_from(MUTATIONS), st.data())
+def test_parse_instance_off_the_serializer_layout_matches_reference(text, name, data):
+    text = mutate(data.draw, text, name)
+    expected = outcome(reference_parse_instance, text)
+    assert outcome(parse_instance, text) == expected
+    assert outcome(parse_text, text) == expected
+
+
+@SETTINGS
+@given(serialized_hg(), st.sampled_from(MUTATIONS), st.data())
+def test_parse_hypergraph_off_the_serializer_layout_matches_reference(text, name, data):
+    text = mutate(data.draw, text, name)
+    expected = outcome(reference_parse_hypergraph, text)
+    assert outcome(parse_hypergraph, text) == expected
+    assert outcome(parse_text, text) == expected
+
+
+# the middle edge line of a valid text, written off the layout
+OFF_LAYOUT = {
+    "sc": {"double-space": "e 0  0", "tab": "e 0\t0", "crlf": "e 0 0\r",
+           "leading-space": " e 0 0", "blank-line": "\ne 0 0", "comment-line": "c e 0 0\ne 0 0",
+           "plus": "e +0 0", "arabic-digit": "e \u0660 0", "19-digits": "e 0000000000000000000 0",
+           "19-digits-out-of-range": "e 1000000000000000000 0",
+           "20-digits": "e 10000000000000000000 0", "e-in-id": "e 0e0 0",
+           "tag-after-id": "0 e 0", "id-glued-to-tag": "0e 0 0"},
+    "hg": {"double-space": "0  2", "tab": "0\t2", "crlf": "0 2\r", "leading-space": " 0 2",
+           "blank-line": "\n0 2", "comment-line": "c 0 1\n0 2", "plus": "+0 2",
+           "arabic-digit": "\u0660 2", "19-digits": "0000000000000000000 2",
+           "19-digits-out-of-range": "1000000000000000000 2",
+           "20-digits": "10000000000000000000 2", "trailing-space": "0 2 "},
+}
+AROUND = {"sc": ("p sc 2 2 3\ne 1 1\n{}\ne 1 0\n", parse_instance, reference_parse_instance),
+          "hg": ("p hg 3 3\n0 1\n{}\n1 2\n", parse_hypergraph, reference_parse_hypergraph)}
+
+
+@pytest.mark.parametrize("kind, line",
+                         [(k, v) for k in OFF_LAYOUT for v in OFF_LAYOUT[k].values()],
+                         ids=[f"{k}-{n}" for k in OFF_LAYOUT for n in OFF_LAYOUT[k]])
+def test_each_layout_break_goes_to_the_line_reader(kind, line):
+    template, parse, reference = AROUND[kind]
+    text = template.format(line)
+    assert instance_module._read_layout(text, (kind,)) is None
+    assert outcome(parse, text) == outcome(reference, text)
+    assert outcome(parse_text, text) == outcome(reference, text)
+
+
+@SETTINGS
+@given(instances(), hypergraphs())
+def test_serializer_output_takes_the_byte_reader(inst, hg):
+    def refuse(text, kinds):
+        raise AssertionError(f"line reader called on {text!r}")
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(instance_module, "_read_lines", refuse)
+        for text, parsed in [(serialize_instance(inst), inst),
+                             (serialize_hypergraph(hg), hg)]:
+            assert parse_text(text) == parsed
+            assert (parse_instance if parsed is inst else parse_hypergraph)(text) == parsed
