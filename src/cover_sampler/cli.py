@@ -99,6 +99,8 @@ def cmd_solve(args) -> int:
         if not isinstance(target, Hypergraph):
             raise CoverSamplerError("--alg match needs a hypergraph input")
         if args.target_eps is not None:
+            if args.eps is not None:
+                raise CoverSamplerError("give --eps or --target-eps, not both")
             h = max(target.rank, 1)
             eps_internal = args.target_eps / h
         else:
@@ -317,6 +319,10 @@ def cmd_verify_lemmas(args) -> int:
                              ci95=f"{report.ci95:.4f}",
                              bound=f"{report.bound:.4f}", opt=report.opt))
 
+    if not rows:
+        raise CoverSamplerError("the selected checks ran no cell (multiplicity "
+                                "runs only at eps <= 0.25; a cover-ratio corpus "
+                                "needs --corpus-size >= 1)")
     _emit(rows, args.format)
     failures = [r for r in rows if not r["passed"]]
     for r in failures:

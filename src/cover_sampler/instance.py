@@ -11,8 +11,10 @@ Text formats (line based, 0-based ids, ``c`` lines are comments):
 ``parse_instance`` and ``parse_hypergraph`` read one format each;
 ``parse_text`` reads either, chosen by the kind its header names.  A text in
 exactly the layout the serializers write is read as bytes with numpy; any
-other goes to the line reader.  Both readers hand the same id columns to the
-same header, count and build checks.
+other goes to the line reader, a plain loop that checks and converts each
+line in one pass.  Both readers hand the same id columns to the same header,
+count and build checks, so the result or error does not depend on the
+reader.
 
 Both builders check and sort whole id columns with numpy and store each side
 only as read-only CSR arrays (``indptr``/``indices``), the layout the numpy
@@ -211,16 +213,6 @@ def _id_array(values: list) -> np.ndarray:
     return np.array([_clamp(int(v)) for v in values], dtype=np.int64)
 
 
-def _text_ids(tokens: list[str]) -> tuple[np.ndarray, bool]:
-    """int64 array of the ids ``int()`` reads from ``tokens``, and whether an
-    id beyond int64 was stored as -1; raises ValueError for a token that is
-    not an integer."""
-    try:
-        return np.array(tokens, dtype=np.int64), False
-    except OverflowError:
-        return np.array([_clamp(int(x)) for x in tokens], dtype=np.int64), True
-
-
 @dataclass(frozen=True, eq=False)
 class Hypergraph(_ByValue):
     """Vertex set plus a list of hyperedges (sorted, duplicate-free id rows).
@@ -414,75 +406,45 @@ def _read_layout(text: str, kinds: tuple[str, ...]):
 def _read_lines(text: str, kinds: tuple[str, ...]):
     """(kind, header fields, id columns) of any text the formats allow:
     comment and blank lines, any whitespace, any integer ``int()`` reads.
-    Raises for a bad header or edge section."""
-    header_line, body = _header_and_body(text)
+    One pass over the lines checks and converts each; raises for a bad
+    header or edge section."""
+    lines = iter(text.splitlines())
+    # the header is the first line that is neither blank nor a comment
+    header_line = next((line for line in lines if line.lstrip()[:1] not in ("", "c")), "")
     kind, fields = _header_fields(header_line, kinds)
     if kind == "sc":
-        return kind, fields, _edge_columns(body)
-    return kind, fields, _vertex_columns(fields[1], body)
-
-
-def _header_and_body(text: str) -> tuple[str, list[str]]:
-    """The first line that is neither blank nor a comment ('' when there is
-    none), and the lines after it without comment lines."""
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if line.strip() and not _is_comment(line):
-            break
-    else:
-        return "", []
-    return lines[i], [line for line in lines[i + 1:] if not _is_comment(line)]
-
-
-def _is_comment(line: str) -> bool:
-    return line.lstrip().startswith("c")
-
-
-def _edge_columns(body: list[str]):
-    """(set ids, element ids, edge_at) of the edge lines; ``edge_at`` keeps
-    the tokens only when the columns do not hold every id as written."""
-    lines = [line for line in body if line.strip()]
-    table = _edge_table([line.strip() for line in lines])
-    if table is None:
-        _raise_bad_edge_line(lines)
-    sets, elems, tokens = table
-    if tokens is not None:
-        return sets, elems, lambda i: (int(tokens[3 * i + 1]), int(tokens[3 * i + 2]))
-    return sets, elems, lambda i: (int(sets[i]), int(elems[i]))
-
-
-def _edge_table(lines: list[str]):
-    """(set ids, element ids, tokens) when every line is ``e <set> <element>``
-    with the tag in its first column, else None.  The tokens are returned
-    only when an id beyond int64 was stored as -1; otherwise the columns hold
-    every id as written."""
-    text = "\n".join(lines)
-    tokens = text.split()
-    n = len(lines)
-    # every line starts with a tag, the tags sit at every third token and the
-    # tokens between them are integers, so no line holds more or fewer than
-    # three tokens
-    if (len(tokens) != 3 * n or ("\n" + text).count("\ne") != n
-            or tokens[0::3].count("e") != n):
-        return None
-    try:
-        (sets, set_clamped), (elems, elem_clamped) = (_text_ids(tokens[1::3]),
-                                                      _text_ids(tokens[2::3]))
-    except ValueError:
-        return None
-    return sets, elems, tokens if set_clamped or elem_clamped else None
-
-
-def _raise_bad_edge_line(lines: list[str]) -> None:
-    for line in lines:
+        sets, elems = [], []
+        for line in lines:
+            parts = line.split()
+            if not parts or parts[0][0] == "c":   # a blank or comment line
+                continue
+            if parts[0] != "e" or len(parts) != 3:
+                raise ParseError(f"bad edge line {line!r}; expected 'e <set> <element>'")
+            try:
+                sets.append(int(parts[1]))
+                elems.append(int(parts[2]))
+            except ValueError as exc:
+                raise ParseError(f"non-integer id in {line!r}") from exc
+        return kind, fields, (_id_array(sets), _id_array(elems),
+                              lambda i: (sets[i], elems[i]))
+    num_edges = fields[1]
+    body = [line for line in lines if line.lstrip()[:1] != "c"]
+    if not 0 <= num_edges <= len(body):
+        raise ParseError(f"header promises {num_edges} edge lines, found {len(body)}")
+    if any(line.strip() for line in body[num_edges:]):
+        raise ParseError(f"unexpected content after {num_edges} edge lines")
+    ids, bounds = [], [0]
+    for line in body[:num_edges]:
         parts = line.split()
-        if parts[0] != "e" or len(parts) != 3:
-            raise ParseError(f"bad edge line {line!r}; expected 'e <set> <element>'")
+        if not parts:
+            raise EmptyEdge("blank line where an edge was expected")
         try:
-            int(parts[1]), int(parts[2])
+            ids.extend(map(int, parts))
         except ValueError as exc:
-            raise ParseError(f"non-integer id in {line!r}") from exc
-    raise ParseError("malformed edge section")
+            raise ParseError(f"non-integer vertex id in {line!r}") from exc
+        bounds.append(len(ids))
+    return kind, fields, (_id_array(ids), np.diff(bounds),
+                          lambda i: ids[bounds[i]:bounds[i + 1]])
 
 
 def serialize_instance(instance: SetCoverInstance) -> str:
@@ -491,36 +453,6 @@ def serialize_instance(instance: SetCoverInstance) -> str:
     out = [f"p sc {instance.num_sets} {instance.num_elements} {instance.m}"]
     out.extend(map("e {} {}".format, sets.tolist(), elems.tolist()))
     return "\n".join(out) + "\n"
-
-
-def _vertex_columns(num_edges: int, body: list[str]):
-    """(vertex ids, edge sizes, edge_at) of the first ``num_edges`` lines of
-    ``body``; the lines after them must be blank."""
-    if not 0 <= num_edges <= len(body):
-        raise ParseError(f"header promises {num_edges} edge lines, found {len(body)}")
-    if any(line.strip() for line in body[num_edges:]):
-        raise ParseError(f"unexpected content after {num_edges} edge lines")
-    lines = body[:num_edges]
-    sizes = np.array([len(line.split()) for line in lines], dtype=np.int64)
-    try:
-        ids = _text_ids("\n".join(lines).split())[0] if sizes.all() else None
-    except ValueError:
-        ids = None
-    if ids is None:
-        _raise_bad_vertex_line(lines)
-    return ids, sizes, lambda i: [int(x) for x in lines[i].split()]
-
-
-def _raise_bad_vertex_line(lines: list[str]) -> None:
-    for line in lines:
-        parts = line.split()
-        if not parts:
-            raise EmptyEdge("blank line where an edge was expected")
-        try:
-            [int(x) for x in parts]
-        except ValueError as exc:
-            raise ParseError(f"non-integer vertex id in {line!r}") from exc
-    raise ParseError("malformed edge section")
 
 
 def serialize_hypergraph(hg: Hypergraph) -> str:

@@ -104,6 +104,15 @@ def test_solve_match_target_eps(capsys, hg_file):
     assert float(row["internal_eps"]) == pytest.approx(0.3 / 3)
 
 
+def test_solve_match_rejects_both_eps_flags(capsys, hg_file):
+    # the eps column would report --eps while the run used --target-eps
+    code, out, err = run_cli(capsys, "solve", "--alg", "match", "--target-eps", "0.1",
+                             "--eps", "0.2", hg_file)
+    assert code == 1 and out == ""
+    assert "--eps or --target-eps, not both" in err
+    assert "Traceback" not in err
+
+
 def test_solve_oracle_delta_seeded_output(capsys, sc_file):
     with open(sc_file) as fh:
         inst = parse_instance(fh.read())
@@ -281,6 +290,18 @@ def test_verify_lemmas_ratio_checks(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert {"cover-ratio", "matching-ratio"} <= {r["check"] for r in rows}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--check", "multiplicity", "--eps", "0.5"),
+    ("--check", "cover-ratio", "--corpus-size", "0"),
+    ("--check", "cover-ratio", "--corpus-size", "-1"),
+], ids=["multiplicity-above-its-eps", "empty-corpus", "negative-corpus"])
+def test_verify_lemmas_fails_when_no_check_ran(capsys, argv):
+    code, out, err = run_cli(capsys, "verify-lemmas", *argv)
+    assert code == 1 and out == ""
+    assert "ran no cell" in err
+    assert "Traceback" not in err
 
 
 def test_verify_lemmas_cover_ratio_solves_each_optimum_once(capsys, monkeypatch):

@@ -1,14 +1,19 @@
 """Parsing, generation, serialization round-trips, and the hypergraph view."""
 
 import tracemalloc
+from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cover_sampler import (EmptyEdge, InfeasibleInstance, ParseError,
-                           generate_random_hypergraph, generate_random_instance,
-                           parse_hypergraph, parse_instance, serialize_hypergraph,
+from cover_sampler import (CoverSamplerError, EmptyEdge, InfeasibleInstance,
+                           ParseError, generate_random_hypergraph,
+                           generate_random_instance, parse_hypergraph,
+                           parse_instance, serialize_hypergraph,
                            serialize_instance, to_hypergraph)
-from cover_sampler.instance import MAX_EMPTY_SETS, Hypergraph, SetCoverInstance
+from cover_sampler.instance import (MAX_EMPTY_SETS, Hypergraph, SetCoverInstance,
+                                    parse_text)
 
 
 def test_parse_single_set_covering_two_elements():
@@ -59,6 +64,53 @@ def test_set_count_cap_admits_empty_sets_up_to_the_cap():
     assert inst.num_sets == 1 + MAX_EMPTY_SETS and inst.delta == 1
     with pytest.raises(ParseError, match="sets beyond the edge count"):
         SetCoverInstance.from_edges(2 + MAX_EMPTY_SETS, 1, [(0, 0)])
+
+
+HOSTILE_COUNTS = st.sampled_from([-1, 0, 1, 2, 3, 2 ** 20, 2 ** 31, 2 ** 40,
+                                  2 ** 63 - 1, 2 ** 63, 10 ** 30])
+HOSTILE_IDS = st.one_of(st.integers(0, 3), HOSTILE_COUNTS)
+
+
+def traced_outcome(call):
+    """``call()``'s result or `CoverSamplerError`, and its tracemalloc peak;
+    any other exception propagates."""
+    tracemalloc.start()
+    try:
+        try:
+            result = call()
+        except CoverSamplerError as exc:
+            result = exc
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(HOSTILE_COUNTS, HOSTILE_COUNTS, HOSTILE_COUNTS),
+       st.lists(st.tuples(HOSTILE_IDS, HOSTILE_IDS), max_size=4),
+       st.tuples(HOSTILE_COUNTS, HOSTILE_COUNTS),
+       st.lists(st.lists(HOSTILE_IDS, max_size=3), max_size=4))
+@example((MAX_EMPTY_SETS + 1, 1, 1), [(0, 0)], (2 ** 63 - 1, 1), [[2 ** 40]])
+@example((MAX_EMPTY_SETS + 2, 1, 1), [(0, 0)], (3, 2 ** 63 - 1), [[0, 1]])
+def test_hostile_header_counts_end_in_bounded_memory(sc_counts, pairs, hg_counts, edges):
+    # every text in serializer layout (when its counts and ids allow) and
+    # behind a comment line, which only the line reader takes
+    sc_text = "p sc {} {} {}\n".format(*sc_counts) + "".join(
+        f"e {s} {t}\n" for s, t in pairs)
+    hg_text = "p hg {} {}\n".format(*hg_counts) + "".join(
+        " ".join(map(str, edge)) + "\n" for edge in edges)
+    calls = [partial(SetCoverInstance.from_edges, *sc_counts[:2], pairs),
+             partial(Hypergraph.from_edges, hg_counts[0], edges)]
+    calls += [partial(parse, lead + text) for text in (sc_text, hg_text)
+              for lead in ("", "c hostile header\n")
+              for parse in (parse_text, parse_instance, parse_hypergraph)]
+    for call in calls:
+        result, peak = traced_outcome(call)
+        # the sets of a returned instance may be up to MAX_EMPTY_SETS more
+        # than its edges, at about 20 bytes each
+        sets = result.num_sets if isinstance(result, SetCoverInstance) else 0
+        assert peak < 4 * 2 ** 20 + 24 * sets, (call, result)
 
 
 @pytest.mark.parametrize("text", [

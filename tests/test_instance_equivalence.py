@@ -440,12 +440,15 @@ OFF_LAYOUT = {
            "plus": "e +0 0", "arabic-digit": "e \u0660 0", "19-digits": "e 0000000000000000000 0",
            "19-digits-out-of-range": "e 1000000000000000000 0",
            "20-digits": "e 10000000000000000000 0", "e-in-id": "e 0e0 0",
-           "tag-after-id": "0 e 0", "id-glued-to-tag": "0e 0 0"},
+           "tag-after-id": "0 e 0", "id-glued-to-tag": "0e 0 0",
+           # int(), str.split() and str.splitlines() as Python reads them
+           "underscore": "e 0_0 0", "nbsp": "e\xa00 0", "form-feed": "e 0\x0c0"},
     "hg": {"double-space": "0  2", "tab": "0\t2", "crlf": "0 2\r", "leading-space": " 0 2",
            "blank-line": "\n0 2", "comment-line": "c 0 1\n0 2", "plus": "+0 2",
            "arabic-digit": "\u0660 2", "19-digits": "0000000000000000000 2",
            "19-digits-out-of-range": "1000000000000000000 2",
-           "20-digits": "10000000000000000000 2", "trailing-space": "0 2 "},
+           "20-digits": "10000000000000000000 2", "trailing-space": "0 2 ",
+           "underscore": "0_0 2", "nbsp": "0\xa02", "form-feed": "0\x0c2"},
 }
 AROUND = {"sc": ("p sc 2 2 3\ne 1 1\n{}\ne 1 0\n", parse_instance, reference_parse_instance),
           "hg": ("p hg 3 3\n0 1\n{}\n1 2\n", parse_hypergraph, reference_parse_hypergraph)}
