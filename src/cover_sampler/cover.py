@@ -17,11 +17,12 @@ phase simulator and the degree-estimation pass in ``mpc_sim``; it holds the
 one covered/chosen/residual bookkeeping.  Each sweep step and commit takes
 one of two paths, chosen from its batch size alone: a large batch gathers
 the instance's CSR ``indptr``/``indices`` arrays, its only stored layout,
-with numpy; a small one walks its tuple rows from Python, a view the
-instance cuts from the arrays on first read and caches.  Both paths charge
-the work counters from the same row lengths and leave the same state, so
-outputs and counters do not depend on the path.  Solvers are deterministic
-given (instance, eps, rng seed).
+with numpy; a small one walks tuple rows from Python, each cut from the
+arrays on its first read (`SetCoverInstance.row_views`), so a solve cuts
+only the rows its small batches read.  Both paths charge the work counters
+from the same row lengths and leave the same state, so outputs and counters
+do not depend on the path.  Solvers are deterministic given (instance, eps,
+rng seed).
 """
 
 from __future__ import annotations
@@ -125,9 +126,12 @@ class _SweepState:
     reproduces the plain sweep bit for bit.
 
     `sweep_step` and `commit` pick their path per call from the batch size
-    (see ``_VECTOR_MIN``), counting from the arrays, so a solve whose every
-    batch is large never cuts the tuple rows.  The Python path loops over the
-    cached tuple rows through the ``bytearray``/``array`` buffers.  The numpy
+    (see ``_VECTOR_MIN``), counting from the arrays.  The Python path loops
+    over tuple rows through the ``bytearray``/``array`` buffers; ``set_rows``
+    and ``element_rows``, bound once from `SetCoverInstance.row_views`, are
+    the whole views where the instance has them and otherwise cut each row on
+    its first read, so a solve cuts only the rows its small batches read and
+    a solve whose every batch is large cuts none.  The numpy
     path gathers the instance's CSR arrays: the uncovered sampled elements'
     sets, then ``np.unique`` of the unchosen ones, their rows, and the sets of
     the newly covered elements for one ``bincount`` residual update, all
@@ -147,6 +151,7 @@ class _SweepState:
         self.set_chosen = np.frombuffer(self.chosen_buf, dtype=bool)
         self.residual = np.frombuffer(self.residual_buf, dtype=np.int64)
         self.chosen: list[int] = []
+        self.set_rows, self.element_rows = instance.row_views()
 
     def commit(self, sets, walked: int | None = None) -> None:
         """Choose ``sets`` (distinct and unchosen; a list or an int array)
@@ -175,18 +180,18 @@ class _SweepState:
             hit = _gather(inst.element_csr, fresh)
             self.residual -= np.bincount(hit, minlength=inst.num_sets)
         else:
-            set_neighbors, element_neighbors = inst.set_neighbors, inst.element_neighbors
+            set_rows, element_rows = self.set_rows, self.element_rows
             covered, chosen, residual = self.covered_buf, self.chosen_buf, self.residual_buf
             self.chosen.extend(sets)
             entries = 0
             for s in sets:
                 chosen[s] = 1
-                row = set_neighbors[s]
+                row = set_rows[s]
                 entries += len(row)
                 for t in row:
                     if not covered[t]:
                         covered[t] = 1
-                        for s2 in element_neighbors[t]:
+                        for s2 in element_rows[t]:
                             residual[s2] -= 1
         if walked is None:
             walked = entries
@@ -212,12 +217,12 @@ class _SweepState:
             return
         if isinstance(element_ids, np.ndarray):
             element_ids = element_ids.tolist()
-        covered, chosen = self.covered_buf, self.chosen_buf
+        covered, chosen, element_rows = self.covered_buf, self.chosen_buf, self.element_rows
         batch: dict[int, None] = {}
         for t in element_ids:
             if covered[t]:
                 continue
-            row = inst.element_neighbors[t]
+            row = element_rows[t]
             c.edge_touches += len(row)
             c.set_touches += len(row)
             for s in row:
@@ -313,7 +318,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     level_cap = guarded_floor(math.log(instance.delta) / log_base)
 
     state = _SweepState(instance, counters)
-    covered, residual = state.covered_buf, state.residual_buf
+    covered, residual, set_rows = state.covered_buf, state.residual_buf, state.set_rows
     seen = array("q", residual)
     levels: dict[int, list[int]] = defaultdict(list)
     # the size level of each estimate, from math.log (numpy's log can differ
@@ -353,7 +358,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
                 # coverage has not moved since the batch was read, so this
                 # counts each newly covered element once per batch set that
                 # covers it
-                covering = Counter(t for s in batch for t in instance.set_neighbors[s]
+                covering = Counter(t for s in batch for t in set_rows[s]
                                    if not covered[t])
                 batch_log.append(BatchRecord(
                     level=j, step=i, set_ids=tuple(batch),
@@ -378,8 +383,9 @@ def verify_cover(instance: SetCoverInstance, cover: Cover) -> tuple[bool, int | 
         indptr, indices = instance.set_csr
         np.frombuffer(covered, dtype=bool)[indices[np.repeat(rows, np.diff(indptr))]] = True
     else:
+        set_rows = instance.row_views()[0]
         for s in chosen:
-            for t in instance.set_neighbors[s]:
+            for t in set_rows[s]:
                 covered[t] = 1
     missing = covered.find(0)
     return (True, None) if missing < 0 else (False, missing)

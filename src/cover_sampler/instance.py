@@ -19,8 +19,13 @@ reader.
 Both builders check and sort whole id columns with numpy and store each side
 only as read-only CSR arrays (``indptr``/``indices``), the layout the numpy
 paths of the solvers, the serializers and the sparsification counts read.
-The tuple rows the small-batch Python paths walk are a view, cut from the
-arrays on first read (one ``tolist()`` per side) and cached on the object.
+Rows as tuples are cut from the arrays in two ways.  A reader that walks
+every row (the exact oracles, greedy, matching) reads a whole view, cut with
+one ``tolist()`` per side on first read and cached on the object.  A reader
+that walks only some rows (the small-batch Python paths of the solvers, the
+small verify, the phase simulator's balls) reads `SetCoverInstance.row_views`:
+the whole view where it is already cut, else a `RowCache` that cuts each row
+on its first read.
 """
 
 from __future__ import annotations
@@ -71,8 +76,9 @@ class SetCoverInstance(_ByValue):
     ``(indptr, indices)`` arrays: row ``s`` of the set side is
     ``indices[indptr[s]:indptr[s + 1]]``.  They are the only stored layout,
     and ``==`` and ``hash`` compare them by value.  ``set_neighbors`` and
-    ``element_neighbors`` are the same rows as tuples, cut from the arrays on
-    first read and cached.
+    ``element_neighbors`` are the same rows as tuples, every row cut from the
+    arrays on first read and cached; ``set_rows`` and ``element_rows`` are
+    `RowCache` mappings that cut and cache one row at a time.
     """
 
     num_sets: int
@@ -94,6 +100,24 @@ class SetCoverInstance(_ByValue):
         # one int object per set id, shared by every row that holds it
         shared = np.array(range(self.num_sets), dtype=object)
         return _rows(shared[self.element_csr[1]].tolist(), self.element_csr[0])
+
+    @cached_property
+    def set_rows(self) -> "RowCache":
+        """Row ``s`` of the set side, cut on its first read."""
+        return RowCache(self.set_csr)
+
+    @cached_property
+    def element_rows(self) -> "RowCache":
+        """Row ``t`` of the element side, cut on its first read."""
+        return RowCache(self.element_csr)
+
+    def row_views(self) -> tuple:
+        """(set rows, element rows) for a reader that walks only some rows:
+        each side's whole tuple view if it is already cut, so no row is cut
+        twice, else its `RowCache`, so only the rows read are cut."""
+        cut = vars(self)
+        return (cut.get("set_neighbors") or self.set_rows,
+                cut.get("element_neighbors") or self.element_rows)
 
     @classmethod
     def from_edges(cls, num_sets: int, num_elements: int,
@@ -187,6 +211,23 @@ def _pair_order(major: np.ndarray, minor: np.ndarray, major_count: int,
     if major_count * minor_count > _INT64_MAX:
         return np.lexsort((minor, major))
     return np.argsort(major * minor_count + minor)
+
+
+class RowCache(dict):
+    """The rows of one CSR side by row id, each cut from the arrays as a
+    tuple on its first read and kept: a miss is one ``__missing__`` call, a
+    hit one dict lookup with no Python call.  Any integer id works, a numpy
+    one included."""
+
+    __slots__ = ("indptr", "indices")
+
+    def __init__(self, csr: tuple[np.ndarray, np.ndarray]):
+        super().__init__()
+        self.indptr, self.indices = csr
+
+    def __missing__(self, i) -> tuple[int, ...]:
+        row = self[i] = tuple(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
+        return row
 
 
 def _rows(flat: list, indptr: np.ndarray) -> tuple[tuple[int, ...], ...]:

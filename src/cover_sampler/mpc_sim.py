@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cover import Cover, CostCounters, _SweepState
+from .errors import InvalidConfig
 from .instance import Hypergraph, SetCoverInstance
 from .schedule import (compute_b, probabilities, schedule_for_frequency,
                        schedule_for_max_size, step_groups)
@@ -175,6 +176,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
                        instance.num_sets + instance.num_elements)
     state = _SweepState(instance, report.counters)
+    element_rows = state.element_rows
     rounds = 0
     for idx, phase in enumerate(plan.phases):
         i_hi = phase.start_step
@@ -187,7 +189,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         adj: list[list[int]] = [[] for _ in relevant]
         set_node: dict[int, int] = {}
         for u, t in enumerate(relevant):
-            for s in instance.element_neighbors[t]:
+            for s in element_rows[t]:
                 if not state.chosen_buf[s]:
                     if s not in set_node:
                         set_node[s] = len(adj)
@@ -216,6 +218,8 @@ def sparsify_non_isolated_counts(hg: Hypergraph, p: float, trials: int,
     """Vectorized non-isolated vertex counts over repeated sparsifications."""
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
+    if trials < 0:
+        raise InvalidConfig(f"trials must be nonnegative, got {trials}")
     num_edges = hg.num_edges
     if num_edges == 0:
         return np.zeros(trials, dtype=np.int64)

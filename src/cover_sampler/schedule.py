@@ -19,6 +19,11 @@ from .errors import InvalidConfig, InvalidEpsilon
 from .util import guarded_ceil
 
 EPS_MAX = 0.5
+# The most steps a schedule may have.  Every solver, the planner and the
+# alias table hold a few float64 arrays over the k + 1 steps, 64 MiB each at
+# this cap, so a longer schedule (an eps far below 1e-3; k grows like
+# ln(delta/eps)/eps^2) is refused before any of them is sized.
+MAX_STEPS = 2 ** 23
 
 
 def _validate_eps(eps: float) -> None:
@@ -45,6 +50,9 @@ class Schedule:
 def make_schedule(eps: float, k: int) -> Schedule:
     if k < 0:
         raise InvalidConfig(f"step count must be nonnegative, got {k}")
+    if k > MAX_STEPS:
+        raise InvalidConfig(f"a schedule of more than MAX_STEPS = {MAX_STEPS} steps "
+                            f"is refused; eps {eps} is too small for this input")
     return Schedule(eps=eps, b=compute_b(eps), k=int(k))
 
 

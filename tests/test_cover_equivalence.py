@@ -14,12 +14,13 @@ from _reference import (ref_bucketed, ref_degree_estimation, ref_hdelta, ref_mpc
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cover_sampler import cover
+from cover_sampler import cli, cover
 from cover_sampler.cover import (Cover, NoisyExactSize, f_approx_bucketed, f_approx_online,
                                  hdelta_cover, verify_cover)
 from cover_sampler.instance import (Hypergraph, SetCoverInstance, generate_random_hypergraph,
                                     generate_random_instance, parse_hypergraph, parse_instance,
-                                    serialize_hypergraph, serialize_instance, to_hypergraph)
+                                    parse_text, serialize_hypergraph, serialize_instance,
+                                    to_hypergraph)
 from cover_sampler.mpc_sim import (simulate_degree_estimation, simulate_mpc_f_approx,
                                    sparsify_non_isolated_counts)
 from cover_sampler.util import derive_rng
@@ -246,3 +247,54 @@ def test_builders_and_array_readers_cut_no_rows():
     # the first read cuts the rows and caches them on the object
     assert inst.set_neighbors is inst.set_neighbors and "set_neighbors" in vars(inst)
     assert hg.edges is hg.edges and "edges" in vars(hg)
+
+
+def test_row_caches_hold_the_whole_view_rows():
+    # sets 2 and 5 are empty
+    edges = [(0, 0), (1, 1), (1, 2), (3, 3), (4, 4), (6, 5), (0, 5), (6, 1)]
+    fresh, cut = (SetCoverInstance.from_edges(7, 6, edges) for _ in range(2))
+    assert fresh.row_views() == (fresh.set_rows, fresh.element_rows)
+    for cache, whole in ((fresh.set_rows, cut.set_neighbors),
+                         (fresh.element_rows, cut.element_neighbors)):
+        for i in reversed(range(len(whole))):
+            assert cache[np.int64(i)] == cache[i] == whole[i]
+            assert type(cache[i]) is tuple and cache[i] is cache[np.int64(i)]
+        assert len(cache) == len(whole)
+    assert fresh.set_rows[2] == fresh.set_rows[5] == ()
+    # a whole view already cut is read as it is, not cut again row by row
+    views = cut.row_views()
+    assert views[0] is cut.set_neighbors and views[1] is cut.element_neighbors
+    assert "set_rows" not in vars(cut) and "element_rows" not in vars(cut)
+
+
+@pytest.fixture(scope="module")
+def mid_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rows") / "mid.sc"
+    path.write_text(serialize_instance(generate_random_instance(2000, 20000, 3, seed=8)))
+    return path
+
+
+def cuts_only_some_rows(inst):
+    assert not ROW_VIEWS & vars(inst).keys()
+    assert 0 < len(inst.set_rows) < inst.num_sets
+    assert 0 < len(inst.element_rows) < inst.num_elements
+
+
+def test_bucketed_solve_cuts_only_the_rows_it_reads(mid_file):
+    inst = parse_instance(mid_file.read_text())
+    got = f_approx_bucketed(inst, 0.25, derive_rng(1))
+    cuts_only_some_rows(inst)
+    whole = parse_instance(mid_file.read_text())
+    views = (whole.set_neighbors, whole.element_neighbors)
+    assert whole.row_views() == views
+    assert got == f_approx_bucketed(whole, 0.25, derive_rng(1))
+
+
+@pytest.mark.parametrize("alg", cli.COVER_ALGS)
+def test_cli_solve_cuts_only_the_rows_it_reads(mid_file, monkeypatch, capsys, alg):
+    parsed = []
+    monkeypatch.setattr(cli, "parse_text", lambda text: parsed.append(parse_text(text))
+                        or parsed[-1])
+    assert cli.main(["solve", str(mid_file), "--alg", alg, "--eps", "0.25"]) == 0
+    assert "True" in capsys.readouterr().out
+    cuts_only_some_rows(parsed[0])

@@ -7,10 +7,11 @@ is an `InvalidConfig` whatever eps, so their smallest case is a one-item pool.
 """
 
 import math
+import tracemalloc
 
 import pytest
 
-from cover_sampler import (InvalidEpsilon, SspConfig, cli,
+from cover_sampler import (InvalidConfig, InvalidEpsilon, SspConfig, cli,
                            estimate_conditional_multiplicity, estimate_expected_rz,
                            f_approx_bucketed, f_approx_online,
                            generate_random_hypergraph, generate_random_instance,
@@ -94,3 +95,33 @@ def test_cli_rejects_eps(capsys, files, command, eps, empty):
     assert code == cli.EXIT_USAGE and captured.out == ""
     assert "InvalidEpsilon" in captured.err
     assert "Traceback" not in captured.err
+
+
+TINY_EPS = {
+    "f_approx_bucketed": lambda eps: f_approx_bucketed(
+        parse_instance(FULL_SC), eps, derive_rng(0)),
+    "hdelta_cover": lambda eps: hdelta_cover(parse_instance(FULL_SC), eps, derive_rng(0)),
+    "plan_phases": lambda eps: plan_phases(300, 40, eps, 1000),
+    "run_ssp": lambda eps: run_ssp(SspConfig(initial_size=50, eps=eps)),
+}
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-300], ids=str)
+@pytest.mark.parametrize("entry", sorted(TINY_EPS) + ["cli solve"])
+def test_schedule_past_max_steps_ends_typed_in_bounded_memory(tmp_path, capsys, entry, eps):
+    # at eps 1e-4 a schedule has about 1e9 steps, so one float64 array over
+    # them would take 7 GiB; the cap refuses it before any is sized
+    path = tmp_path / "full.sc"
+    path.write_text(FULL_SC)
+    tracemalloc.start()
+    try:
+        if entry == "cli solve":
+            code = cli.main(["solve", str(path), "--alg", "f-bucketed", f"--eps={eps}"])
+            assert code == cli.EXIT_USAGE and "InvalidConfig" in capsys.readouterr().err
+        else:
+            with pytest.raises(InvalidConfig, match="MAX_STEPS"):
+                TINY_EPS[entry](eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -11,11 +11,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from cover_sampler import mpc_sim
-from cover_sampler import (f_approx_bucketed, generate_random_hypergraph,
+from cover_sampler import (InvalidConfig, f_approx_bucketed, generate_random_hypergraph,
                            generate_random_instance, hypergraph_matching,
                            plan_phases, simulate_degree_estimation,
                            simulate_mpc_f_approx, verify_cover)
-from cover_sampler.instance import SetCoverInstance
+from cover_sampler.instance import Hypergraph, SetCoverInstance
 from cover_sampler.mpc_sim import (DegreeBatch, amplify_to_whp,
                                   sparsify_non_isolated_counts)
 from cover_sampler.oracle import exact_min_cover
@@ -191,6 +191,14 @@ def test_sparsify_extremes():
     for p, expected in ((0.0, 0), (1.0, touched)):
         counts = sparsify_non_isolated_counts(hg, p, 5, derive_rng(1))
         assert counts.tolist() == [expected] * 5
+
+
+@pytest.mark.parametrize("edges", [0, 40])
+def test_sparsify_rejects_negative_trials(edges):
+    hg = generate_random_hypergraph(20, 40, 3, seed=8) if edges else Hypergraph.from_edges(3, [])
+    with pytest.raises(InvalidConfig, match="trials"):
+        sparsify_non_isolated_counts(hg, 0.5, -1, derive_rng(1))
+    assert sparsify_non_isolated_counts(hg, 0.5, 0, derive_rng(1)).size == 0
 
 
 def test_sparsify_expected_non_isolated_bound():

@@ -12,7 +12,7 @@ from cover_sampler import (InvalidConfig, InvalidEpsilon, bucket_distribution, b
                            compute_b, make_schedule, probabilities, probability,
                            sample_alias, schedule_for_frequency,
                            schedule_for_max_size, schedule_length_outer)
-from cover_sampler.schedule import alias_for_schedule, step_groups
+from cover_sampler.schedule import MAX_STEPS, alias_for_schedule, step_groups
 from cover_sampler.util import derive_rng
 
 GRID_EPS = (0.05, 0.1, 0.25, 0.5)
@@ -175,3 +175,13 @@ def test_outer_length_rejects_size_beyond_float_range():
     with pytest.raises(InvalidConfig, match="beyond float range"):
         schedule_length_outer(2 ** 1100, 0.25)
     assert schedule_length_outer(2 ** 1000, 0.25) > 0
+
+
+def test_schedule_longer_than_max_steps_is_refused():
+    assert make_schedule(0.25, MAX_STEPS).k == MAX_STEPS
+    with pytest.raises(InvalidConfig, match="MAX_STEPS"):
+        make_schedule(0.25, MAX_STEPS + 1)
+    with pytest.raises(InvalidConfig, match="MAX_STEPS"):
+        schedule_for_max_size(54, 1e-300)
+    # the longest schedule the package's own runs reach: calibrated eps 0.01
+    assert schedule_length_outer(54, 0.01 / 4) < MAX_STEPS
