@@ -293,8 +293,11 @@ def test_bucketed_solve_cuts_only_the_rows_it_reads(mid_file):
 @pytest.mark.parametrize("alg", cli.COVER_ALGS)
 def test_cli_solve_cuts_only_the_rows_it_reads(mid_file, monkeypatch, capsys, alg):
     parsed = []
-    monkeypatch.setattr(cli, "parse_text", lambda text: parsed.append(parse_text(text))
-                        or parsed[-1])
+
+    def keep(text):
+        parsed.append(parse_text(text))
+        return parsed[-1]
+    monkeypatch.setattr(cli, "parse_text", keep)
     assert cli.main(["solve", str(mid_file), "--alg", alg, "--eps", "0.25"]) == 0
     assert "True" in capsys.readouterr().out
     cuts_only_some_rows(parsed[0])
