@@ -18,7 +18,7 @@ one covered/chosen/residual bookkeeping.  Each sweep step and commit takes
 one of two paths, chosen from its batch size alone: a large batch gathers
 the instance's CSR ``indptr``/``indices`` arrays, its only stored layout,
 with numpy; a small one walks tuple rows from Python, each cut from the
-arrays on its first read (`SetCoverInstance.row_views`), so a solve cuts
+arrays on its first read (`SetCoverInstance.set_rows`), so a solve cuts
 only the rows its small batches read.  Both paths charge the work counters
 from the same row lengths and leave the same state, so outputs and counters
 do not depend on the path.  Solvers are deterministic given (instance, eps,
@@ -128,10 +128,9 @@ class _SweepState:
     `sweep_step` and `commit` pick their path per call from the batch size
     (see ``_VECTOR_MIN``), counting from the arrays.  The Python path loops
     over tuple rows through the ``bytearray``/``array`` buffers; ``set_rows``
-    and ``element_rows``, bound once from `SetCoverInstance.row_views`, are
-    the whole views where the instance has them and otherwise cut each row on
-    its first read, so a solve cuts only the rows its small batches read and
-    a solve whose every batch is large cuts none.  The numpy
+    and ``element_rows``, the instance's row caches bound once, cut each row
+    on its first read, so a solve cuts only the rows its small batches read
+    and a solve whose every batch is large cuts none.  The numpy
     path gathers the instance's CSR arrays: the uncovered sampled elements'
     sets, then ``np.unique`` of the unchosen ones, their rows, and the sets of
     the newly covered elements for one ``bincount`` residual update, all
@@ -151,7 +150,7 @@ class _SweepState:
         self.set_chosen = np.frombuffer(self.chosen_buf, dtype=bool)
         self.residual = np.frombuffer(self.residual_buf, dtype=np.int64)
         self.chosen: list[int] = []
-        self.set_rows, self.element_rows = instance.row_views()
+        self.set_rows, self.element_rows = instance.set_rows, instance.element_rows
 
     def commit(self, sets, walked: int | None = None) -> None:
         """Choose ``sets`` (distinct and unchosen; a list or an int array)
@@ -383,7 +382,7 @@ def verify_cover(instance: SetCoverInstance, cover: Cover) -> tuple[bool, int | 
         indptr, indices = instance.set_csr
         np.frombuffer(covered, dtype=bool)[indices[np.repeat(rows, np.diff(indptr))]] = True
     else:
-        set_rows = instance.row_views()[0]
+        set_rows = instance.set_rows
         for s in chosen:
             for t in set_rows[s]:
                 covered[t] = 1

@@ -23,9 +23,8 @@ Rows as tuples are cut from the arrays in two ways.  A reader that walks
 every row (the exact oracles, greedy, matching) reads a whole view, cut with
 one ``tolist()`` per side on first read and cached on the object.  A reader
 that walks only some rows (the small-batch Python paths of the solvers, the
-small verify, the phase simulator's balls) reads `SetCoverInstance.row_views`:
-the whole view where it is already cut, else a `RowCache` that cuts each row
-on its first read.
+small verify, the phase simulator's balls) reads a `RowCache`, which cuts
+each row on its first read.
 """
 
 from __future__ import annotations
@@ -110,14 +109,6 @@ class SetCoverInstance(_ByValue):
     def element_rows(self) -> "RowCache":
         """Row ``t`` of the element side, cut on its first read."""
         return RowCache(self.element_csr)
-
-    def row_views(self) -> tuple:
-        """(set rows, element rows) for a reader that walks only some rows:
-        each side's whole tuple view if it is already cut, so no row is cut
-        twice, else its `RowCache`, so only the rows read are cut."""
-        cut = vars(self)
-        return (cut.get("set_neighbors") or self.set_rows,
-                cut.get("element_neighbors") or self.element_rows)
 
     @classmethod
     def from_edges(cls, num_sets: int, num_elements: int,

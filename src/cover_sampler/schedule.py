@@ -20,10 +20,12 @@ from .util import guarded_ceil
 
 EPS_MAX = 0.5
 # The most steps a schedule may have.  Every solver, the planner and the
-# alias table hold a few float64 arrays over the k + 1 steps, 64 MiB each at
-# this cap, so a longer schedule (an eps far below 1e-3; k grows like
-# ln(delta/eps)/eps^2) is refused before any of them is sized.
-MAX_STEPS = 2 ** 23
+# alias table hold a few float64 arrays over the k + 1 steps, 256 MiB each at
+# this cap, so a longer schedule is refused before any of them is sized.  k
+# grows like ln(delta/eps)/eps^2: at eps 1e-3 every delta up to 9e17 stays
+# under the cap (k at most 3.4e7), at eps 5e-4 only delta up to 88, and at
+# eps 1e-4 no delta does.
+MAX_STEPS = 2 ** 25
 
 
 def _validate_eps(eps: float) -> None:

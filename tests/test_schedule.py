@@ -185,3 +185,13 @@ def test_schedule_longer_than_max_steps_is_refused():
         schedule_for_max_size(54, 1e-300)
     # the longest schedule the package's own runs reach: calibrated eps 0.01
     assert schedule_length_outer(54, 0.01 / 4) < MAX_STEPS
+
+
+@pytest.mark.parametrize("eps, accepted, refused", [(1e-3, 10 ** 17, 10 ** 18), (5e-4, 88, 89)])
+def test_max_steps_admits_eps_1e_3_at_any_practical_size(eps, accepted, refused):
+    # the largest sizes a schedule accepts at two small eps (at 1e-3, to a
+    # power of ten), so calibrated runs at eps 0.004 keep working
+    assert schedule_for_max_size(accepted, eps).k <= MAX_STEPS
+    assert schedule_for_frequency(accepted, eps).k <= MAX_STEPS
+    with pytest.raises(InvalidConfig, match="MAX_STEPS"):
+        schedule_for_max_size(refused, eps)
