@@ -23,9 +23,9 @@ import sys
 
 from .corpus import (build_cover_corpus, build_matching_corpus,
                      build_sparsification_hypergraphs)
-from .cover import (NoisyExactSize, f_approx_bucketed, f_approx_online,
-                    hdelta_cover, verify_cover)
-from .errors import CoverSamplerError
+from .cover import (NoisyExactSize, _effective_eps, f_approx_bucketed,
+                    f_approx_online, hdelta_cover, verify_cover)
+from .errors import CoverSamplerError, InvalidConfig
 from .instance import (Hypergraph, generate_random_hypergraph,
                        generate_random_instance, parse_instance, parse_text,
                        serialize_hypergraph, serialize_instance)
@@ -134,6 +134,9 @@ def cmd_solve(args) -> int:
         solver, target, eps_internal, args.copies, seed=args.seed,
         maximize=maximize, validator=validator)
     valid, witness = validator(target, solution)
+    if args.alg != "match":
+        # the eps the cover solvers' schedule was built at
+        eps_internal = _effective_eps(eps_internal, args.calibrated)
     row = {
         "alg": args.alg,
         "eps": args.eps if args.eps is not None else "",
@@ -240,6 +243,8 @@ def cmd_verify_lemmas(args) -> int:
             raise CoverSamplerError(f"unknown adversaries: {missing}; "
                                     f"choose from {sorted(adversaries)}")
         adversaries = {a: adversaries[a] for a in args.adversary}
+    if args.trials < 0:
+        raise InvalidConfig(f"--trials must be nonnegative, got {args.trials}")
     rows: list[dict] = []
     cell = 0
 
@@ -347,8 +352,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with `EXIT_USAGE`, not 2; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cover-sampler",
         description="Sampling-based set cover and hypergraph matching toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

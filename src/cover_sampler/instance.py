@@ -19,12 +19,11 @@ reader.
 Both builders check and sort whole id columns with numpy and store each side
 only as read-only CSR arrays (``indptr``/``indices``), the layout the numpy
 paths of the solvers, the serializers and the sparsification counts read.
-Rows as tuples are cut from the arrays in two ways.  A reader that walks
-every row (the exact oracles, greedy, matching) reads a whole view, cut with
-one ``tolist()`` per side on first read and cached on the object.  A reader
-that walks only some rows (the small-batch Python paths of the solvers, the
-small verify, the phase simulator's balls) reads a `RowCache`, which cuts
-each row on its first read.
+Each set-cover side has one tuple-row reader, a `RowCache`, which cuts a row
+from the arrays on its first read and keeps it; the solvers, the verifier,
+the phase simulator and the exact oracles all read it, so a row is cut at
+most once.  A hypergraph's ``edges`` is a whole view, cut with one
+``tolist()`` on first read and cached, since matching reads every edge.
 """
 
 from __future__ import annotations
@@ -74,10 +73,9 @@ class SetCoverInstance(_ByValue):
     ``set_csr`` and ``element_csr`` hold the rows as read-only
     ``(indptr, indices)`` arrays: row ``s`` of the set side is
     ``indices[indptr[s]:indptr[s + 1]]``.  They are the only stored layout,
-    and ``==`` and ``hash`` compare them by value.  ``set_neighbors`` and
-    ``element_neighbors`` are the same rows as tuples, every row cut from the
-    arrays on first read and cached; ``set_rows`` and ``element_rows`` are
-    `RowCache` mappings that cut and cache one row at a time.
+    and ``==`` and ``hash`` compare them by value.  ``set_rows`` and
+    ``element_rows`` are the same rows as tuples: `RowCache` mappings that
+    cut and cache one row at a time.
     """
 
     num_sets: int
@@ -87,18 +85,6 @@ class SetCoverInstance(_ByValue):
     m: int
     set_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
     element_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
-
-    @cached_property
-    def set_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Row ``s``: the elements of set ``s``, ascending."""
-        return _rows(self.set_csr[1].tolist(), self.set_csr[0])
-
-    @cached_property
-    def element_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Row ``t``: the sets containing element ``t``, ascending."""
-        # one int object per set id, shared by every row that holds it
-        shared = np.array(range(self.num_sets), dtype=object)
-        return _rows(shared[self.element_csr[1]].tolist(), self.element_csr[0])
 
     @cached_property
     def set_rows(self) -> "RowCache":
@@ -221,13 +207,6 @@ class RowCache(dict):
         return row
 
 
-def _rows(flat: list, indptr: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """``flat`` cut into tuples at the CSR offsets ``indptr``."""
-    flat_tuple = tuple(flat)
-    bounds = indptr.tolist()
-    return tuple(flat_tuple[a:b] for a, b in zip(bounds, bounds[1:]))
-
-
 def _clamp(value: int) -> int:
     # an id outside int64 is outside every range; -1 keeps it so
     return value if -_INT64_MAX - 1 <= value <= _INT64_MAX else -1
@@ -264,7 +243,8 @@ class Hypergraph(_ByValue):
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Row ``e``: the vertices of edge ``e``, ascending."""
-        return _rows(self.edge_csr[1].tolist(), self.edge_csr[0])
+        flat, bounds = tuple(self.edge_csr[1].tolist()), self.edge_csr[0].tolist()
+        return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
     @property
     def num_edges(self) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import Cover
-from .errors import TooLarge
+from .errors import InvalidConfig, TooLarge
 from .instance import Hypergraph, SetCoverInstance
 from .util import mean_ci95
 
@@ -43,8 +43,8 @@ def exact_min_cover(instance: SetCoverInstance, limit: int = EXACT_COVER_LIMIT) 
         raise TooLarge(f"{instance.num_sets} sets exceeds the exact limit {limit}")
     if instance.num_elements == 0:
         return 0
-    masks = _bitmasks(instance.set_neighbors)
-    element_sets = instance.element_neighbors
+    masks = _bitmasks(instance.set_rows[s] for s in range(instance.num_sets))
+    element_sets = [instance.element_rows[t] for t in range(instance.num_elements)]
     # reach[t]: every element sharing a set with t, t included
     reach = [0] * instance.num_elements
     for t, row in enumerate(element_sets):
@@ -119,7 +119,8 @@ def exact_max_matching(hg: Hypergraph, limit: int = EXACT_MATCHING_LIMIT) -> int
 def greedy_cover(instance: SetCoverInstance) -> Cover:
     """Classic greedy: repeatedly take the set covering the most uncovered
     elements, lowest id on ties."""
-    residual = [len(a) for a in instance.set_neighbors]
+    set_rows, element_rows = instance.set_rows, instance.element_rows
+    residual = np.diff(instance.set_csr[0]).tolist()
     covered = [False] * instance.num_elements
     remaining = instance.num_elements
     chosen = []
@@ -128,11 +129,11 @@ def greedy_cover(instance: SetCoverInstance) -> Cover:
         if residual[s_best] == 0:
             raise AssertionError("uncoverable element in a validated instance")
         chosen.append(s_best)
-        for t in instance.set_neighbors[s_best]:
+        for t in set_rows[s_best]:
             if not covered[t]:
                 covered[t] = True
                 remaining -= 1
-                for s2 in instance.element_neighbors[t]:
+                for s2 in element_rows[t]:
                     residual[s2] -= 1
     return Cover(tuple(sorted(chosen)))
 
@@ -185,10 +186,13 @@ def measure_ratio(solver, target, eps: float, trials: int,
 
     The optimum comes from the exact oracle matching ``target``'s type unless
     supplied.  A zero-size solution contributes ratio 0 (never divides).
-    Trials run in the calling thread; ``workers`` must be 1.
+    Trials run in the calling thread; ``workers`` must be 1.  Fewer than one
+    trial raises `InvalidConfig` before the oracle runs.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
+    if trials < 1:
+        raise InvalidConfig(f"trials must be >= 1, got {trials}")
     if opt is None:
         if isinstance(target, SetCoverInstance):
             opt = exact_min_cover(target)
@@ -213,7 +217,7 @@ def exhaustive_min_cover(instance: SetCoverInstance, limit: int = 12) -> int:
         raise TooLarge(f"{instance.num_sets} sets exceeds the exhaustive limit {limit}")
     if instance.num_elements == 0:
         return 0
-    masks = _bitmasks(instance.set_neighbors)
+    masks = _bitmasks(instance.set_rows[s] for s in range(instance.num_sets))
     full = (1 << instance.num_elements) - 1
     for size in range(0, instance.num_sets + 1):
         for combo in itertools.combinations(range(instance.num_sets), size):

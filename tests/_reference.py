@@ -2,7 +2,9 @@
 simulator and the degree-estimation pass replaced, kept as references: each
 walks every incidence and charges every counter one visit at a time.  Also
 the step loop that `bucket_distribution` replaced and the planner whose
-no-compression zone was found by a loop over every step."""
+no-compression zone was found by a loop over every step.  They read tuple
+rows cut whole from the CSR arrays by `csr_rows`, not the instance's row
+caches."""
 
 import math
 from collections import Counter, defaultdict
@@ -20,13 +22,21 @@ from cover_sampler.schedule import (alias_for_schedule, probabilities, sample_al
 from cover_sampler.util import guarded_floor, meets_threshold
 
 
+def csr_rows(csr):
+    """Every row of a CSR ``(indptr, indices)`` pair as a tuple, in a list."""
+    indptr, indices = csr
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 class RefState:
     def __init__(self, instance, counters):
-        self.instance = instance
+        self.set_rows = csr_rows(instance.set_csr)
+        self.element_rows = csr_rows(instance.element_csr)
         self.counters = counters
         self.covered = [False] * instance.num_elements
         self.set_chosen = [False] * instance.num_sets
-        self.residual = [len(a) for a in instance.set_neighbors]
+        self.residual = [len(a) for a in self.set_rows]
         self.chosen = []
 
     def commit(self, s, elements):
@@ -38,25 +48,24 @@ class RefState:
         for t in elements:
             if not self.covered[t]:
                 self.covered[t] = True
-                for s2 in self.instance.element_neighbors[t]:
+                for s2 in self.element_rows[t]:
                     self.residual[s2] -= 1
 
     def sweep_step(self, element_ids):
         c = self.counters
         c.steps_executed += 1
-        inst = self.instance
         batch = {}
         for t in element_ids:
             c.element_touches += 1
             if self.covered[t]:
                 continue
-            c.edge_touches += len(inst.element_neighbors[t])
-            for s in inst.element_neighbors[t]:
+            c.edge_touches += len(self.element_rows[t])
+            for s in self.element_rows[t]:
                 c.set_touches += 1
                 if not self.set_chosen[s]:
                     batch[s] = None
         for s in batch:
-            self.commit(s, inst.set_neighbors[s])
+            self.commit(s, self.set_rows[s])
 
     def max_live(self):
         return max((r for r, ch in zip(self.residual, self.set_chosen) if not ch), default=0)
@@ -122,10 +131,10 @@ def ref_hdelta(instance, eps, rng, size_oracle=None, calibrated=False, batch_log
     table = alias_for_schedule(sched)
     log_base = math.log1p(eff)
     level_cap = guarded_floor(math.log(instance.delta) / log_base)
-    packed = [list(a) for a in instance.set_neighbors]
     state = RefState(instance, counters)
+    packed = [list(a) for a in state.set_rows]
     levels = defaultdict(list)
-    for s, adj in enumerate(instance.set_neighbors):
+    for s, adj in enumerate(state.set_rows):
         if adj:
             levels[min(guarded_floor(math.log(len(adj)) / log_base), level_cap)].append(s)
     for j in range(level_cap, -1, -1):
@@ -188,7 +197,7 @@ def ref_mpc(instance, eps, rng):
         adj = [[] for _ in relevant]
         set_node = {}
         for u, t in enumerate(relevant):
-            for s in instance.element_neighbors[t]:
+            for s in state.element_rows[t]:
                 if not state.set_chosen[s]:
                     if s not in set_node:
                         set_node[s] = len(adj)
@@ -222,7 +231,7 @@ def ref_degree_estimation(instance, eps, level, rng):
     estimates = [math.inf] * instance.num_sets
     batches, series = [], []
     for i in range(sched.k, -1, -1):
-        for s, row in enumerate(instance.set_neighbors):
+        for s, row in enumerate(state.set_rows):
             hits = sum(1 for t in row if not state.covered[t] and pools[i][t])
             estimates[s] = min(estimates[s], hits / q)
         series.append(list(estimates))
@@ -239,7 +248,7 @@ def ref_degree_estimation(instance, eps, level, rng):
             estimates=tuple(estimates[s] for s in sampled),
             true_sizes=tuple(state.residual[s] for s in sampled)))
         for s in sampled:
-            state.commit(s, instance.set_neighbors[s])
+            state.commit(s, state.set_rows[s])
     return batches, series
 
 

@@ -104,6 +104,31 @@ def test_solve_match_target_eps(capsys, hg_file):
     assert float(row["internal_eps"]) == pytest.approx(0.3 / 3)
 
 
+@pytest.mark.parametrize("alg", cli.COVER_ALGS)
+def test_solve_reports_the_calibrated_internal_eps(capsys, sc_file, alg):
+    # the cover solvers build their schedule at eps / 4 under --calibrated
+    for flags, internal in (((), 0.2), (("--calibrated",), 0.05)):
+        code, out, _ = run_cli(capsys, "solve", "--alg", alg, "--eps", "0.2",
+                               *flags, sc_file)
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["eps"] == "0.2" and float(row["internal_eps"]) == internal
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--eps", "0.25"),
+    ("solve", "--gen-sc", "-5:3:1", "--alg", "f-online", "--eps", "0.25"),
+    ("generate", "sc", "--sets", "3"),
+], ids=["missing-alg", "gen-sc-read-as-option", "subcommand-missing-flags"])
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 is kept for an invalid solution
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == cli.EXIT_USAGE == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cover-sampler") and "error:" in err
+
+
 def test_solve_match_rejects_both_eps_flags(capsys, hg_file):
     # the eps column would report --eps while the run used --target-eps
     code, out, err = run_cli(capsys, "solve", "--alg", "match", "--target-eps", "0.1",
@@ -302,6 +327,27 @@ def test_verify_lemmas_fails_when_no_check_ran(capsys, argv):
     assert code == 1 and out == ""
     assert "ran no cell" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_lemmas_rejects_fewer_than_one_ratio_trial(capsys, trials):
+    code, out, err = run_cli(capsys, "verify-lemmas", "--check", "cover-ratio",
+                             "--ratio-trials", trials, "--corpus-size", "1")
+    assert code == 1 and out == ""
+    assert f"InvalidConfig: trials must be >= 1, got {trials}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_lemmas_rejects_negative_trials(capsys, monkeypatch):
+    # rejected before any cell runs, not replaced by the sparsification floor
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "sparsify_non_isolated_counts", no_cell)
+    code, out, err = run_cli(capsys, "verify-lemmas", "--check", "sparsification",
+                             "--p", "0.1", "--trials", "-50000")
+    assert code == 1 and out == ""
+    assert "InvalidConfig: --trials must be nonnegative, got -50000" in err
 
 
 def test_verify_lemmas_cover_ratio_solves_each_optimum_once(capsys, monkeypatch):

@@ -9,12 +9,13 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from _reference import (ref_bucketed, ref_degree_estimation, ref_hdelta, ref_mpc,
-                        ref_online)
+from _reference import (csr_rows, ref_bucketed, ref_degree_estimation, ref_hdelta,
+                        ref_mpc, ref_online)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cover_sampler import cli, cover
+from cover_sampler.corpus import build_cover_corpus
 from cover_sampler.cover import (Cover, NoisyExactSize, f_approx_bucketed, f_approx_online,
                                  hdelta_cover, verify_cover)
 from cover_sampler.instance import (Hypergraph, SetCoverInstance, generate_random_hypergraph,
@@ -23,6 +24,7 @@ from cover_sampler.instance import (Hypergraph, SetCoverInstance, generate_rando
                                     to_hypergraph)
 from cover_sampler.mpc_sim import (simulate_degree_estimation, simulate_mpc_f_approx,
                                    sparsify_non_isolated_counts)
+from cover_sampler.oracle import exact_min_cover
 from cover_sampler.util import derive_rng
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -113,7 +115,7 @@ def test_level_boundary_sizes_match_reference(mode):
         start += 2 ** j
     edges += [(8 + j, t) for j in range(4) for t in range(j, start, 4 + j)]
     inst = SetCoverInstance.from_edges(12, start, edges)
-    assert [len(inst.set_neighbors[j]) for j in range(8)] == [2 ** j for j in range(8)]
+    assert [len(row) for row in csr_rows(inst.set_csr)[:8]] == [2 ** j for j in range(8)]
     for seed in range(12):
         assert_all_equal(inst, BOUNDARY_EPS, seed, mode)
 
@@ -158,7 +160,8 @@ def test_degree_estimation_matches_reference(mode, shape, eps, level):
 @given(instances(), st.data())
 def test_verify_cover_matches_reference(mode, inst, data):
     chosen = data.draw(st.lists(st.integers(0, inst.num_sets - 1), unique=True))
-    covered = {t for s in chosen for t in inst.set_neighbors[s]}
+    rows = csr_rows(inst.set_csr)
+    covered = {t for s in chosen for t in rows[s]}
     missing = [t for t in range(inst.num_elements) if t not in covered]
     with pytest.MonkeyPatch.context() as mp:
         crossover(mp, mode)
@@ -183,11 +186,10 @@ def test_max_vertex_degree_matches_loop(num_vertices, raw_edges):
     assert hg.max_vertex_degree() == max(deg, default=0)
 
 
-def csr_rows(csr):
+def int32_read_only(csr):
     indptr, indices = csr
-    assert indptr.dtype == indices.dtype == np.int32
-    assert not indptr.flags.writeable and not indices.flags.writeable
-    return [tuple(indices[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:])]
+    return (indptr.dtype == indices.dtype == np.int32
+            and not indptr.flags.writeable and not indices.flags.writeable)
 
 
 @pytest.mark.parametrize("shape", [(6, 20, 2), (300, 3000, 3)])
@@ -195,7 +197,7 @@ def test_csr_arrays_hold_the_rows(shape):
     # the arrays are the only stored layout: == and hash follow them, and the
     # tuple rows are a view of them
     built = generate_random_instance(*shape, seed=5)
-    edges = [(s, t) for s, row in enumerate(built.set_neighbors) for t in row]
+    edges = [(s, t) for s, row in enumerate(csr_rows(built.set_csr)) for t in row]
     hg = generate_random_hypergraph(shape[0], shape[1] // 2, 3, seed=5, min_size=1)
     dual = to_hypergraph(built)
     assert dual.edge_csr is built.element_csr
@@ -204,14 +206,18 @@ def test_csr_arrays_hold_the_rows(shape):
                  parse_instance(serialize_instance(built)))
     hypergraphs = (hg, Hypergraph.from_edges(hg.num_vertices, [e[::-1] for e in hg.edges]),
                    parse_hypergraph(serialize_hypergraph(hg)))
-    duals = (dual, Hypergraph.from_edges(built.num_sets, built.element_neighbors))
+    duals = (dual, Hypergraph.from_edges(built.num_sets, csr_rows(built.element_csr)))
     for first, *others in (instances, hypergraphs, duals):
         for other in others:
             assert other == first and hash(other) == hash(first)
     for inst in instances:
-        assert csr_rows(inst.set_csr) == list(inst.set_neighbors)
-        assert csr_rows(inst.element_csr) == list(inst.element_neighbors)
+        assert int32_read_only(inst.set_csr) and int32_read_only(inst.element_csr)
+        # the element side is the set side transposed
+        assert [(s, t) for s, row in enumerate(csr_rows(inst.set_csr)) for t in row] == edges
+        assert sorted((s, t) for t, row in enumerate(csr_rows(inst.element_csr))
+                      for s in row) == edges
     for h in hypergraphs + duals:
+        assert int32_read_only(h.edge_csr)
         assert csr_rows(h.edge_csr) == list(h.edges)
     # by value whatever the dtype; one changed incidence on any side differs
     for obj, sides in ((built, ("set_csr", "element_csr")), (hg, ("edge_csr",))):
@@ -224,7 +230,15 @@ def test_csr_arrays_hold_the_rows(shape):
             assert replace(obj, **{side: (indptr, changed)}) != obj
 
 
-ROW_VIEWS = {"set_neighbors", "element_neighbors", "edges"}
+# the whole view a hypergraph caches on first read; a set-cover instance's
+# row caches may be present but hold no row until one is read
+ROW_VIEWS = {"edges"}
+ROW_CACHES = ("set_rows", "element_rows")
+
+
+def holds_no_rows(obj):
+    held = vars(obj)
+    return not ROW_VIEWS & held.keys() and not any(held.get(c) for c in ROW_CACHES)
 
 
 def test_builders_and_array_readers_cut_no_rows():
@@ -243,18 +257,18 @@ def test_builders_and_array_readers_cut_no_rows():
         sparsify_non_isolated_counts(h, 0.5, 3, derive_rng(1))
     for obj in instances + hypergraphs:
         assert replace(obj) == obj and hash(replace(obj)) == hash(obj)
-        assert not ROW_VIEWS & vars(obj).keys(), type(obj).__name__
+        assert holds_no_rows(obj), type(obj).__name__
     # the first read cuts the rows and caches them on the object
-    assert inst.set_neighbors is inst.set_neighbors and "set_neighbors" in vars(inst)
+    assert inst.set_rows[3] is inst.set_rows[3] and len(vars(inst)["set_rows"]) == 1
     assert hg.edges is hg.edges and "edges" in vars(hg)
 
 
 def test_row_caches_hold_the_whole_view_rows():
     # sets 2 and 5 are empty
     edges = [(0, 0), (1, 1), (1, 2), (3, 3), (4, 4), (6, 5), (0, 5), (6, 1)]
-    fresh, cut = (SetCoverInstance.from_edges(7, 6, edges) for _ in range(2))
-    for cache, whole in ((fresh.set_rows, cut.set_neighbors),
-                         (fresh.element_rows, cut.element_neighbors)):
+    fresh = SetCoverInstance.from_edges(7, 6, edges)
+    for cache, whole in ((fresh.set_rows, csr_rows(fresh.set_csr)),
+                         (fresh.element_rows, csr_rows(fresh.element_csr))):
         for i in reversed(range(len(whole))):
             assert cache[np.int64(i)] == cache[i] == whole[i]
             assert type(cache[i]) is tuple and cache[i] is cache[np.int64(i)]
@@ -270,7 +284,6 @@ def mid_file(tmp_path_factory):
 
 
 def cuts_only_some_rows(inst):
-    assert not ROW_VIEWS & vars(inst).keys()
     assert 0 < len(inst.set_rows) < inst.num_sets
     assert 0 < len(inst.element_rows) < inst.num_elements
 
@@ -280,10 +293,9 @@ def test_bucketed_solve_cuts_only_the_rows_it_reads(mid_file):
     got, _ = f_approx_bucketed(inst, 0.25, derive_rng(1))
     cuts_only_some_rows(inst)
     assert verify_cover(inst, got) == (True, None)
-    # the rows the solve cut are the whole view's rows
-    whole = parse_instance(mid_file.read_text())
-    for cache, rows in ((inst.set_rows, whole.set_neighbors),
-                        (inst.element_rows, whole.element_neighbors)):
+    # the rows the solve cut are the arrays' rows
+    for cache, rows in ((inst.set_rows, csr_rows(inst.set_csr)),
+                        (inst.element_rows, csr_rows(inst.element_csr))):
         assert all(row == rows[i] for i, row in cache.items())
 
 
@@ -298,3 +310,21 @@ def test_cli_solve_cuts_only_the_rows_it_reads(mid_file, monkeypatch, capsys, al
     assert cli.main(["solve", str(mid_file), "--alg", alg, "--eps", "0.25"]) == 0
     assert "True" in capsys.readouterr().out
     cuts_only_some_rows(parsed[0])
+
+
+def test_oracle_fills_the_row_caches_the_solver_reads():
+    # one row reader per side: the exact oracle cuts every row into the
+    # caches, and a later solve reads the same tuples and cuts none
+    inst = build_cover_corpus(count=1)[0]
+    assert holds_no_rows(inst)
+    exact_min_cover(inst)
+    held = {}
+    for name, count in (("set_rows", inst.num_sets), ("element_rows", inst.num_elements)):
+        cache = getattr(inst, name)
+        assert sorted(cache) == list(range(count))
+        held[name] = dict(cache)
+    f_approx_bucketed(inst, 0.25, derive_rng(1))
+    for name, rows in held.items():
+        cache = getattr(inst, name)
+        assert len(cache) == len(rows) and all(cache[i] is row for i, row in rows.items())
+    assert not hasattr(inst, "set_neighbors") and not hasattr(inst, "element_neighbors")

@@ -4,6 +4,7 @@ import tracemalloc
 from functools import partial
 
 import pytest
+from _reference import csr_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,14 +22,14 @@ def test_parse_single_set_covering_two_elements():
     assert inst.delta == 2
     assert inst.freq == 1
     assert inst.m == 2
-    assert inst.set_neighbors == ((0, 1),)
+    assert csr_rows(inst.set_csr) == [(0, 1)]
 
 
 def test_parse_one_element_in_two_sets():
     inst = parse_instance("p sc 2 1 2\ne 0 0\ne 1 0")
     assert inst.delta == 1
     assert inst.freq == 2
-    assert inst.element_neighbors == ((0, 1),)
+    assert csr_rows(inst.element_csr) == [(0, 1)]
 
 
 def test_parse_uncovered_element_is_infeasible():
@@ -199,16 +200,16 @@ def test_hypergraph_roundtrip():
 def test_generator_degree_one_and_full():
     inst = generate_random_instance(4, 10, 1, seed=7)
     assert inst.freq == 1
-    assert all(len(a) == 1 for a in inst.element_neighbors)
+    assert all(len(a) == 1 for a in csr_rows(inst.element_csr))
     full = generate_random_instance(4, 10, 4, seed=7)
     assert full.delta == 10
-    assert all(len(a) == 4 for a in full.element_neighbors)
+    assert all(len(a) == 4 for a in csr_rows(full.element_csr))
 
 
 def test_generator_edge_budget():
     inst = generate_random_instance(20, 100, 3, seed=1)
     assert inst.freq == 3
-    assert sum(len(a) for a in inst.set_neighbors) == 300
+    assert sum(len(a) for a in csr_rows(inst.set_csr)) == 300
     assert inst.m == 300
 
 
@@ -245,8 +246,7 @@ def test_to_hypergraph_incidence_preserved():
     hg = to_hypergraph(inst)
     assert len(hg.edges) == 100
     assert hg.avg_rank == pytest.approx(3.0)
-    for t in range(inst.num_elements):
-        assert hg.edges[t] == inst.element_neighbors[t]
+    assert list(hg.edges) == csr_rows(inst.element_csr)
 
 
 def test_hypergraph_max_degree():
@@ -269,9 +269,10 @@ def test_max_vertex_degree_memory_follows_incidences():
 
 def test_from_edges_consistency():
     inst = SetCoverInstance.from_edges(2, 2, [(0, 0), (1, 1), (0, 1)])
-    for s, adj in enumerate(inst.set_neighbors):
+    set_rows, element_rows = csr_rows(inst.set_csr), csr_rows(inst.element_csr)
+    for s, adj in enumerate(set_rows):
         for t in adj:
-            assert s in inst.element_neighbors[t]
-    for t, adj in enumerate(inst.element_neighbors):
+            assert s in element_rows[t]
+    for t, adj in enumerate(element_rows):
         for s in adj:
-            assert t in inst.set_neighbors[s]
+            assert t in set_rows[s]

@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from _reference import csr_rows
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -333,7 +334,7 @@ def test_hypergraph_round_trip(hg):
 @SETTINGS
 @given(instances())
 def test_to_hypergraph_matches_from_edges(inst):
-    assert to_hypergraph(inst) == Hypergraph.from_edges(inst.num_sets, inst.element_neighbors)
+    assert to_hypergraph(inst) == Hypergraph.from_edges(inst.num_sets, csr_rows(inst.element_csr))
 
 
 # --- the byte reader against the line-by-line references ------------------------

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cover_sampler import (TooLarge, exact_max_matching, exact_min_cover,
+from cover_sampler import (InvalidConfig, TooLarge, exact_max_matching, exact_min_cover,
                            f_approx_bucketed, f_approx_bound,
                            generate_random_hypergraph, generate_random_instance,
                            greedy_cover, harmonic, hypergraph_matching,
                            matching_bound, measure_ratio, verify_cover)
+from cover_sampler import oracle
 from cover_sampler.corpus import build_cover_corpus
 from cover_sampler.instance import Hypergraph, SetCoverInstance
 from cover_sampler.oracle import exhaustive_min_cover
@@ -191,6 +192,19 @@ def test_measure_ratio_matching_direction():
                            hg, 0.01, 100, derive_rng(4),
                            bound=matching_bound(hg, 0.01), maximize=True)
     assert report.passed
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_measure_ratio_rejects_fewer_than_one_trial(monkeypatch, trials):
+    # raised before the exact oracle runs or the stream spawns its children
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(oracle, "exact_min_cover", no_oracle)
+    inst = generate_random_instance(10, 30, 2, seed=11)
+    with pytest.raises(InvalidConfig, match=f"trials must be >= 1, got {trials}"):
+        measure_ratio(lambda t, e, r: f_approx_bucketed(t, e, r),
+                      inst, 0.25, trials, derive_rng(5), f_approx_bound(inst, 0.25))
 
 
 def test_measure_ratio_rejects_workers():
