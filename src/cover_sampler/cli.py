@@ -98,6 +98,8 @@ def cmd_solve(args) -> int:
     if args.alg == "match":
         if not isinstance(target, Hypergraph):
             raise CoverSamplerError("--alg match needs a hypergraph input")
+        if args.calibrated:
+            raise CoverSamplerError("--calibrated applies only to the cover algorithms")
         if args.target_eps is not None:
             if args.eps is not None:
                 raise CoverSamplerError("give --eps or --target-eps, not both")
@@ -376,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "at target/rank")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--calibrated", action="store_true",
-                       help="run the schedule at eps/4 for the tighter factor")
+                       help="cover algorithms only: run the schedule at eps/4 "
+                            "for the tighter factor")
     solve.add_argument("--oracle-delta", type=float,
                        help="hdelta only: noisy size oracle over-approximation")
     solve.add_argument("--copies", type=int, default=1,

@@ -178,10 +178,16 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     state = _SweepState(instance, report.counters)
     element_rows = state.element_rows
     rounds = 0
+    # only a commit changes coverage or residuals, and every commit grows
+    # state.chosen, so each whole-array scan is redone only when the number
+    # of chosen sets moved since that scan last ran
+    live_scanned_at = residual_scanned_at = -1
     for idx, phase in enumerate(plan.phases):
         i_hi = phase.start_step
         i_lo = phase.start_step - phase.length + 1
-        live_elements = int((~state.covered).sum())
+        if len(state.chosen) != live_scanned_at:
+            live_scanned_at = len(state.chosen)
+            live_elements = int((~state.covered).sum())
         relevant = [t for i in range(i_lo, i_hi + 1) for t in buckets.get(i, ())
                     if not state.covered_buf[t]]
         # relevant element u is node u; each live set touching one is the
@@ -201,7 +207,9 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
             group = buckets.get(i)
             if group:
                 state.sweep_step(group)
-        residual_after = int(state.residual[~state.set_chosen].max(initial=0))
+        if len(state.chosen) != residual_scanned_at:
+            residual_scanned_at = len(state.chosen)
+            residual_after = int(state.residual[~state.set_chosen].max(initial=0))
         rounds += phase.rounds
         report.phases.append(PhaseRecord(
             index=idx, case_tag=phase.case_tag, start_step=i_hi, end_step=i_lo,
@@ -253,6 +261,11 @@ class DegreeEstimationTrace:
     batches: list[DegreeBatch] = field(default_factory=list)
 
 
+# Bit generators whose ``advance(n)`` skips exactly n doubles of
+# ``Generator.random``: one 64-bit output per double.
+_ADVANCE_BY_DOUBLES = (np.random.PCG64, np.random.PCG64DXSM)
+
+
 def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
                                level: int, rng: np.random.Generator
                                ) -> DegreeEstimationTrace:
@@ -264,6 +277,16 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     estimate is the minimum over executed steps of |residual(set) & pool|/q.
     Sets whose estimate still reaches (1+eps)^level are sampled at the step
     probability, committed in batches, and removed with their elements.
+
+    The pools are the first (k+1) x T doubles of ``rng``'s stream, row i
+    before row i+1, and the sampling coins follow them.  On a PCG64 or
+    PCG64DXSM stream row i is drawn only when step i runs, from a copy of
+    the bit generator advanced by i*T, and none is drawn at q = 1, where
+    every row is all True; ``rng`` itself is advanced past the pools.  Other
+    bit generators fill the pools upfront.  The pass stops at the first step
+    with no eligible set: estimates only fall and chosen sets stay chosen,
+    so no later step can commit or draw a coin.  Batches and the final
+    state of ``rng`` are those of the upfront fill run to step 0.
     """
     compute_b(eps)  # before the level cap divides by log1p(eps)
     log_base = math.log1p(eps)
@@ -276,27 +299,45 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     threshold = (1.0 + eps) ** level
     q = min(100.0 / eps ** 2 * math.log(max(n_total, 2)) / threshold, 1.0)
     trace = DegreeEstimationTrace(level=level, threshold=threshold, q=q, k=sched.k)
-    if instance.num_elements == 0:
+    num_elements = instance.num_elements
+    if num_elements == 0:
         return trace
 
-    # row by row draws the same stream as one (k+1) x T draw, without its
-    # float64 temporary
-    pools = np.empty((sched.k + 1, instance.num_elements), dtype=bool)
-    for row in pools:
-        np.less(rng.random(instance.num_elements), q, out=row)
+    bitgen = rng.bit_generator
+    if type(bitgen) in _ADVANCE_BY_DOUBLES:
+        start = bitgen.state
+        bitgen.advance((sched.k + 1) * num_elements)
+        # advance drops a buffered 32-bit half, which drawing doubles keeps
+        moved = bitgen.state
+        moved["has_uint32"], moved["uinteger"] = start["has_uint32"], start["uinteger"]
+        bitgen.state = moved
+        cursor = type(bitgen)()
+        draw = np.random.Generator(cursor)
+
+        def pool(i: int) -> np.ndarray:
+            cursor.state = start
+            cursor.advance(i * num_elements)
+            return draw.random(num_elements) < q
+    else:
+        # row by row draws the same stream as one (k+1) x T draw, without
+        # its float64 temporary
+        pools = np.empty((sched.k + 1, num_elements), dtype=bool)
+        for row in pools:
+            np.less(rng.random(num_elements), q, out=row)
+        pool = pools.__getitem__
     state = _SweepState(instance, CostCounters())
     # the incidences of still uncovered elements, dropped as they get covered
     edge_sets = np.repeat(np.arange(instance.num_sets), state.residual)
     edge_elems = instance.set_csr[1]
     estimates = np.full(instance.num_sets, np.inf)
     for i in range(sched.k, -1, -1):
-        counts = np.bincount(edge_sets[pools[i][edge_elems]],
-                             minlength=instance.num_sets)
+        hit = edge_sets if q == 1.0 else edge_sets[pool(i)[edge_elems]]
+        counts = np.bincount(hit, minlength=instance.num_sets)
         estimates = np.minimum(estimates, counts / q)
         eligible = ~state.set_chosen & meets_threshold(estimates, threshold)
         ids = np.flatnonzero(eligible)
         if ids.size == 0:
-            continue
+            break
         sampled = ids[rng.random(ids.size) < p[i]]
         if sampled.size == 0:
             continue

@@ -138,6 +138,15 @@ def test_solve_match_rejects_both_eps_flags(capsys, hg_file):
     assert "Traceback" not in err
 
 
+def test_solve_match_rejects_calibrated(capsys, hg_file):
+    # matching has no calibrated schedule, so the flag would be ignored
+    code, out, err = run_cli(capsys, "solve", "--alg", "match", "--eps", "0.1",
+                             "--calibrated", hg_file)
+    assert code == 1 and out == ""
+    assert "--calibrated applies only to the cover algorithms" in err
+    assert "Traceback" not in err
+
+
 def test_solve_oracle_delta_seeded_output(capsys, sc_file):
     with open(sc_file) as fh:
         inst = parse_instance(fh.read())

@@ -313,6 +313,57 @@ def test_degree_estimation_pools_stay_near_their_own_size():
     assert peak < 3 * (trace.k + 1) * num_elements
 
 
+def _same_state(a, b):
+    # MT19937's state holds its key as an array
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _halves(num_elements):
+    return SetCoverInstance.from_edges(
+        2, num_elements, [(t % 2, t) for t in range(num_elements)])
+
+
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937])
+def test_degree_estimation_pools_match_the_upfront_fill(bit_generator):
+    # PCG64 streams draw each pool row when its step runs (or none at q = 1)
+    # and stop early; the others fill the pools upfront.  Both must give the
+    # reference's batches and leave the caller's generator where it does.
+    # A buffered 32-bit half from an earlier int32 draw must survive.
+    halves = _halves(20000)
+    cases = [(generate_random_instance(12, 80, 3, seed=s), 0.25, level)
+             for s in range(2) for level in (0, 2)]
+    cases += [(halves, 0.5, level) for level in (0, 21, 22)]
+    q_values = []
+    for seed, (inst, eps, level) in enumerate(cases):
+        ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        for g in (ours, theirs):
+            g.integers(0, 5, dtype=np.int32)
+        trace = simulate_degree_estimation(inst, eps, level, ours)
+        batches, _ = ref_degree_estimation(inst, eps, level, theirs)
+        assert trace.batches == batches
+        assert _same_state(ours.bit_generator.state, theirs.bit_generator.state)
+        q_values.append(trace.q)
+    assert min(q_values) < 0.6 and max(q_values) == 1.0
+
+
+def test_degree_estimation_memory_does_not_follow_k_times_t():
+    # eps 0.01 gives k = 32873 here; upfront pools over 2e4 elements would
+    # take 657 MB
+    num_elements = 20000
+    inst = _halves(num_elements)
+    tracemalloc.start()
+    try:
+        trace = simulate_degree_estimation(inst, 0.01, 0, derive_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.k > 30000 and trace.batches
+    assert peak < 16 * 2 ** 20 < (trace.k + 1) * num_elements
+
+
 def test_degree_estimation_level_range():
     inst = generate_random_instance(10, 40, 2, seed=14)
     with pytest.raises(ValueError):
