@@ -170,6 +170,10 @@ def cmd_mpc(args) -> int:
     if args.delta_sweep:
         if args.eps is None:
             raise CoverSamplerError("--eps required for a planner sweep")
+        if args.input:
+            raise CoverSamplerError("--delta-sweep plans phases and reads no instance file")
+        if args.alg == "hdelta-inner":
+            raise CoverSamplerError("--delta-sweep runs the planner, not --alg hdelta-inner")
         for exp in _parse_sweep(args.delta_sweep):
             delta = 2 ** exp
             plan = plan_phases(delta, args.f, args.eps, args.n)

@@ -19,10 +19,12 @@ one of two paths, chosen from its batch size alone: a large batch gathers
 the instance's CSR ``indptr``/``indices`` arrays, its only stored layout,
 with numpy; a small one walks tuple rows from Python, each cut from the
 arrays on its first read (`SetCoverInstance.set_rows`), so a solve cuts
-only the rows its small batches read.  Both paths charge the work counters
-from the same row lengths and leave the same state, so outputs and counters
-do not depend on the path.  Solvers are deterministic given (instance, eps,
-rng seed).
+only the rows its small batches read.  The size-threshold solver reads a
+large step group of its exact-size oracle the same way, as arrays, and
+`step_groups` groups a large draw by one sort.  Both paths charge the work
+counters from the same row lengths and leave the same state, so outputs
+and counters do not depend on the path.  Solvers are deterministic given
+(instance, eps, rng seed).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .instance import SetCoverInstance
 from .schedule import (compute_b, probabilities, schedule_for_frequency,
                        schedule_for_max_size, step_groups)
-from .util import guarded_floor, meets_threshold
+from .util import INTEGER_GUARD, guarded_floor
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,11 @@ def _effective_eps(eps: float, calibrated: bool) -> float:
 
 # Path crossovers, set by timing both paths on the m = 6e5 benchmark instance
 # and on the 100-instance acceptance corpus.  A batch of at least _VECTOR_MIN
-# items (a step's sampled elements, the sets of a cover to verify) and a
-# commit walking at least _VECTOR_MIN_ENTRIES row entries take the numpy path;
-# smaller ones stay in Python, which has no per-call overhead.  A commit counts
-# entries because its Python cost grows with row length.
+# items (a step's sampled elements, a step group of sets whose exact sizes
+# hdelta reads, the sets of a cover to verify) and a commit walking at least
+# _VECTOR_MIN_ENTRIES row entries take the numpy path; smaller ones stay in
+# Python, which has no per-call overhead.  A commit counts entries because its
+# Python cost grows with row length.
 _VECTOR_MIN = 128
 _VECTOR_MIN_ENTRIES = 256
 
@@ -133,9 +136,9 @@ class _SweepState:
     and a solve whose every batch is large cuts none.  The numpy
     path gathers the instance's CSR arrays: the uncovered sampled elements'
     sets, then ``np.unique`` of the unchosen ones, their rows, and the sets of
-    the newly covered elements for one ``bincount`` residual update, all
-    through numpy views of the same buffers.  Counters are charged from the
-    gathered sizes.
+    the newly covered elements, whose residuals drop by one
+    ``np.subtract.at`` in O(hits) rather than O(num_sets), all through numpy
+    views of the same buffers.  Counters are charged from the gathered sizes.
     """
 
     def __init__(self, instance: SetCoverInstance, counters: CostCounters):
@@ -177,7 +180,7 @@ class _SweepState:
             fresh = np.unique(elements[~self.covered[elements]])
             self.covered[fresh] = True
             hit = _gather(inst.element_csr, fresh)
-            self.residual -= np.bincount(hit, minlength=inst.num_sets)
+            np.subtract.at(self.residual, hit, 1)
         else:
             set_rows, element_rows = self.set_rows, self.element_rows
             covered, chosen, residual = self.covered_buf, self.chosen_buf, self.residual_buf
@@ -243,11 +246,16 @@ def f_approx_online(instance: SetCoverInstance, eps: float,
     if instance.num_elements == 0:
         return Cover(()), counters
     sched = schedule_for_max_size(instance.delta, eff)
-    p = probabilities(sched)
+    p = probabilities(sched).tolist()
     state = _SweepState(instance, counters)
     live_ids = np.arange(instance.num_elements)
+    # only a commit changes coverage, and every commit grows state.chosen, so
+    # the live ids are rescanned only when the number of chosen sets moved
+    scanned_at = 0
     for i in range(sched.k, -1, -1):
-        live_ids = live_ids[~state.covered[live_ids]]
+        if len(state.chosen) != scanned_at:
+            scanned_at = len(state.chosen)
+            live_ids = live_ids[~state.covered[live_ids]]
         n_live = live_ids.size
         if n_live == 0:
             break
@@ -319,6 +327,8 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     state = _SweepState(instance, counters)
     covered, residual, set_rows = state.covered_buf, state.residual_buf, state.set_rows
     seen = array("q", residual)
+    seen_view = np.frombuffer(seen, dtype=np.int64)
+    exact = type(oracle) is ExactSize
     levels: dict[int, list[int]] = defaultdict(list)
     # the size level of each estimate, from math.log (numpy's log can differ
     # in the last bit), once per distinct estimate
@@ -332,22 +342,41 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         if not members:
             continue
         threshold = (1.0 + eff) ** j
+        # meets_threshold's comparison, with its bound computed once
+        guard = threshold * (1.0 - INTEGER_GUARD)
+        member_ids = np.array(members) if exact and len(members) >= _VECTOR_MIN else None
         for i, group in step_groups(sched, rng, len(members)):
             counters.steps_executed += 1
-            before = 0
-            batch, batch_sizes = [], []
-            for s in map(members.__getitem__, group):
-                before += seen[s]
-                size = seen[s] = residual[s]
-                if size == 0:
-                    continue
-                estimate = oracle.estimate(s, size)
-                if meets_threshold(estimate, threshold):
-                    batch.append(s)
-                    batch_sizes.append(size)
-                else:
-                    counters.rebucket_events += 1
-                    levels[max(min(level_of(estimate), j - 1), 0)].append(s)
+            if member_ids is not None and len(group) >= _VECTOR_MIN:
+                # an exact estimate is the size itself, so a large group is
+                # read and tested with arrays; only rebucketed sets, in group
+                # order, are visited one at a time
+                sets = member_ids[group]
+                sizes = state.residual[sets]
+                before = int(seen_view[sets].sum())
+                seen_view[sets] = sizes
+                meets = sizes >= guard
+                batch, batch_sizes = sets[meets].tolist(), sizes[meets].tolist()
+                drop = ~meets & (sizes != 0)
+                dropped = sets[drop].tolist()
+                counters.rebucket_events += len(dropped)
+                for s, size in zip(dropped, sizes[drop].tolist()):
+                    levels[max(min(level_of(size), j - 1), 0)].append(s)
+            else:
+                before = 0
+                batch, batch_sizes = [], []
+                for s in map(members.__getitem__, group):
+                    before += seen[s]
+                    size = seen[s] = residual[s]
+                    if size == 0:
+                        continue
+                    estimate = size if exact else oracle.estimate(s, size)
+                    if estimate >= guard:
+                        batch.append(s)
+                        batch_sizes.append(size)
+                    else:
+                        counters.rebucket_events += 1
+                        levels[max(min(level_of(estimate), j - 1), 0)].append(s)
             counters.set_touches += len(group) + before
             counters.edge_touches += before
             if not batch:

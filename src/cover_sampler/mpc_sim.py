@@ -81,6 +81,8 @@ def plan_phases(delta: int, freq: int, eps: float, n: int) -> PhasePlan:
     # tau is non-decreasing in the step index, so the no-compression zone is
     # the prefix [0, gate_step]; compressed phases stop at its boundary
     gate_step = int(np.count_nonzero(TAU_CONSTANT * ln_n / p <= max(case1_gate, 1.0))) - 1
+    # the step loop reads p one entry at a time, cheaper from a list
+    p = p.tolist()
     phases: list[PlannedPhase] = []
     i = sched.k
     while i >= 0:
@@ -171,7 +173,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     if instance.num_elements == 0:
         return Cover(()), report
     sched = schedule_for_max_size(instance.delta, eps)
-    p = probabilities(sched)
+    p = probabilities(sched).tolist()
     buckets = dict(step_groups(sched, rng, instance.num_elements))
     plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
                        instance.num_sets + instance.num_elements)
@@ -213,7 +215,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         rounds += phase.rounds
         report.phases.append(PhaseRecord(
             index=idx, case_tag=phase.case_tag, start_step=i_hi, end_step=i_lo,
-            length=phase.length, p_start=float(p[i_hi]), p_end=float(p[i_lo]),
+            length=phase.length, p_start=p[i_hi], p_end=p[i_lo],
             live_elements=live_elements, relevant_elements=len(relevant),
             nonisolated_sets=len(set_node), max_ball=max_ball,
             residual_degree_after=residual_after, cumulative_rounds=rounds))

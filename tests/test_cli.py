@@ -401,6 +401,16 @@ def test_mpc_planner_sweep_rejects_delta_beyond_float_range(capsys):
     assert "InvalidConfig" in err and "beyond float range" in err
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["INPUT"], "reads no instance file"),
+    (["--alg", "hdelta-inner"], "not --alg hdelta-inner")])
+def test_mpc_planner_sweep_rejects_what_it_would_ignore(capsys, sc_file, extra, message):
+    argv = [sc_file if a == "INPUT" else a for a in extra]
+    code, out, err = run_cli(capsys, "mpc", "--delta-sweep", "4:6:1", "--eps", "0.25", *argv)
+    assert code == 1 and out == ""
+    assert "CoverSamplerError" in err and message in err
+
+
 def test_mpc_phase_sim(capsys, sc_file):
     code, out, _ = run_cli(capsys, "mpc", "--eps", "0.25", "--seed", "2", sc_file)
     assert code == 0

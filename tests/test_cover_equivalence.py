@@ -1,9 +1,9 @@
 """The cover solvers, the phase simulator and the degree-estimation pass
 against the per-incidence Python implementations they replaced: equal covers,
 all five work counters, batch logs, phase records and degree batches, with
-the numpy/Python path crossovers at their defaults, forced to the numpy path
-(0) and forced to the Python path (huge).  The references live in
-``_reference.py``."""
+the numpy/Python path crossovers (the engine's and `step_groups`') at their
+defaults, forced to the numpy path (0) and forced to the Python path (huge).
+The references live in ``_reference.py``."""
 
 from dataclasses import astuple, replace
 
@@ -14,7 +14,7 @@ from _reference import (csr_rows, ref_bucketed, ref_degree_estimation, ref_hdelt
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cover_sampler import cli, cover
+from cover_sampler import cli, cover, schedule
 from cover_sampler.corpus import build_cover_corpus
 from cover_sampler.cover import (Cover, NoisyExactSize, f_approx_bucketed, f_approx_online,
                                  hdelta_cover, verify_cover)
@@ -42,6 +42,7 @@ def crossover(mp, name):
     if value is not None:
         mp.setattr(cover, "_VECTOR_MIN", value)
         mp.setattr(cover, "_VECTOR_MIN_ENTRIES", value)
+        mp.setattr(schedule, "_GROUP_SORT_MIN", value)
 
 
 def solver_outcomes(inst, eps, seed, online, bucketed, hdelta):

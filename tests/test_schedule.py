@@ -12,6 +12,7 @@ from cover_sampler import (InvalidConfig, InvalidEpsilon, bucket_distribution, b
                            compute_b, make_schedule, probabilities, probability,
                            sample_alias, schedule_for_frequency,
                            schedule_for_max_size, schedule_length_outer)
+from cover_sampler import schedule
 from cover_sampler.schedule import MAX_STEPS, alias_for_schedule, step_groups
 from cover_sampler.util import derive_rng
 
@@ -156,7 +157,7 @@ def test_alias_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("count", [0, 1, 500])
+@pytest.mark.parametrize("count", [0, 1, 500, 5000])
 def test_step_groups_partition_one_alias_draw(count):
     sched = schedule_for_max_size(32, 0.25)
     rng, ref_rng = derive_rng(3), derive_rng(3)
@@ -171,9 +172,33 @@ def test_step_groups_partition_one_alias_draw(count):
     assert sorted(t for _, ids in groups for t in ids) == list(range(count))
 
 
+GROUP_COUNTS = (0, 1, schedule._GROUP_SORT_MIN - 1, schedule._GROUP_SORT_MIN,
+                schedule._GROUP_SORT_MIN + 1, 200_000)
+
+
+# k = 88 and 2160 sort a uint16 key, k = 82218 and 65536 an int64 one
+@pytest.mark.parametrize("sched", [schedule_for_max_size(32, 0.25),
+                                   schedule_for_max_size(54, 0.05),
+                                   schedule_for_max_size(1000, 0.01),
+                                   make_schedule(0.1, 2 ** 16)], ids=lambda s: f"k{s.k}")
+def test_step_groups_sort_and_dict_paths_agree(monkeypatch, sched):
+    for count in GROUP_COUNTS:
+        got = {}
+        for name, crossover in (("sort", 0), ("dict", 10 ** 9)):
+            monkeypatch.setattr(schedule, "_GROUP_SORT_MIN", crossover)
+            rng = derive_rng(11, count)
+            got[name] = (step_groups(sched, rng, count), rng.random())
+        assert got["sort"] == got["dict"], count
+        groups = got["sort"][0]
+        assert all(type(i) is int and type(ids[0]) is int for i, ids in groups)
+
+
 def test_outer_length_rejects_size_beyond_float_range():
     with pytest.raises(InvalidConfig, match="beyond float range"):
         schedule_length_outer(2 ** 1100, 0.25)
+    # converts to a float, but the division overflows to inf
+    with pytest.raises(InvalidConfig, match="beyond float range"):
+        schedule_length_outer(2 ** 1022, 0.25)
     assert schedule_length_outer(2 ** 1000, 0.25) > 0
 
 
