@@ -1,8 +1,8 @@
 """Sampling-based set cover and hypergraph matching, with a Monte Carlo
 verification harness and a desk-scale distributed-execution simulator."""
 
-from .cover import (BatchRecord, CostCounters, Cover, ExactSize, NoisyExactSize,
-                    f_approx_bucketed, f_approx_online, hdelta_cover, verify_cover)
+from .cover import (BatchRecord, CostCounters, Cover, f_approx_bucketed,
+                    f_approx_online, hdelta_cover, verify_cover)
 from .errors import (CoverSamplerError, EmptyEdge, InfeasibleInstance,
                      InsufficientSamples, InsufficientTrials, InvalidConfig,
                      InvalidEpsilon, ParseError, TooLarge)

@@ -18,13 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
 from .corpus import (build_cover_corpus, build_matching_corpus,
                      build_sparsification_hypergraphs)
-from .cover import (NoisyExactSize, _effective_eps, f_approx_bucketed,
-                    f_approx_online, hdelta_cover, verify_cover)
+from .cover import f_approx_bucketed, f_approx_online, hdelta_cover, verify_cover
 from .errors import CoverSamplerError, InvalidConfig
 from .instance import (Hypergraph, generate_random_hypergraph,
                        generate_random_instance, parse_instance, parse_text,
@@ -34,7 +34,7 @@ from .mpc_sim import (amplify_to_whp, plan_phases, simulate_degree_estimation,
                       simulate_mpc_f_approx, sparsify_non_isolated_counts)
 from .oracle import (exact_min_cover, f_approx_bound, hdelta_bound,
                      matching_bound, measure_ratio)
-from .schedule import make_schedule
+from .schedule import compute_b, make_schedule
 from .ssp import (SspConfig, builtin_adversaries, check_step_lemmas,
                   estimate_conditional_multiplicity, estimate_expected_rz,
                   minimum_steps)
@@ -119,16 +119,15 @@ def cmd_solve(args) -> int:
         eps_internal = args.eps
         if eps_internal is None:
             raise CoverSamplerError("--eps required")
-
-        def solver(inst, eps, rng):
-            if args.alg == "f-online":
-                return f_approx_online(inst, eps, rng, calibrated=args.calibrated)
-            if args.alg == "f-bucketed":
-                return f_approx_bucketed(inst, eps, rng, calibrated=args.calibrated)
-            oracle = NoisyExactSize(args.oracle_delta, rng) if args.oracle_delta else None
-            return hdelta_cover(inst, eps, rng, size_oracle=oracle,
-                                calibrated=args.calibrated)
-
+        if args.calibrated:
+            # a 4x longer schedule buys the tighter (1+eps) guarantee; the
+            # caller's eps must be in range either way
+            compute_b(eps_internal)
+            eps_internal /= 4.0
+        if args.alg == "hdelta":
+            solver = functools.partial(hdelta_cover, oracle_delta=args.oracle_delta or 0.0)
+        else:
+            solver = f_approx_online if args.alg == "f-online" else f_approx_bucketed
         maximize = False
 
     validator = verify_matching if args.alg == "match" else verify_cover
@@ -136,9 +135,6 @@ def cmd_solve(args) -> int:
         solver, target, eps_internal, args.copies, seed=args.seed,
         maximize=maximize, validator=validator)
     valid, witness = validator(target, solution)
-    if args.alg != "match":
-        # the eps the cover solvers' schedule was built at
-        eps_internal = _effective_eps(eps_internal, args.calibrated)
     row = {
         "alg": args.alg,
         "eps": args.eps if args.eps is not None else "",
@@ -166,6 +162,10 @@ def _parse_sweep(text: str) -> list[int]:
 
 
 def cmd_mpc(args) -> int:
+    if args.j is not None and args.alg != "hdelta-inner":
+        raise CoverSamplerError("--j applies only to --alg hdelta-inner")
+    if (args.f is not None or args.n is not None) and not args.delta_sweep:
+        raise CoverSamplerError("--f and --n apply only to --delta-sweep")
     rows: list[dict] = []
     if args.delta_sweep:
         if args.eps is None:
@@ -176,7 +176,8 @@ def cmd_mpc(args) -> int:
             raise CoverSamplerError("--delta-sweep runs the planner, not --alg hdelta-inner")
         for exp in _parse_sweep(args.delta_sweep):
             delta = 2 ** exp
-            plan = plan_phases(delta, args.f, args.eps, args.n)
+            plan = plan_phases(delta, 2 if args.f is None else args.f, args.eps,
+                               2 ** 20 if args.n is None else args.n)
             cumulative = 0
             for idx, phase in enumerate(plan.phases):
                 cumulative += phase.rounds
@@ -195,7 +196,7 @@ def cmd_mpc(args) -> int:
         raise CoverSamplerError("--eps required")
     instance = parse_instance(_read_text(args.input))
     if args.alg == "hdelta-inner":
-        trace = simulate_degree_estimation(instance, args.eps, args.j,
+        trace = simulate_degree_estimation(instance, args.eps, args.j or 0,
                                            derive_rng(args.seed, 0))
         for batch in trace.batches:
             rows.append({
@@ -412,11 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     mpc.add_argument("--alg", choices=("phase-sim", "hdelta-inner"),
                      default="phase-sim")
     mpc.add_argument("--eps", type=float)
-    mpc.add_argument("--f", type=int, default=2, help="planner frequency")
-    mpc.add_argument("--n", type=int, default=2 ** 20, help="planner n")
+    mpc.add_argument("--f", type=int,
+                     help="planner frequency for --delta-sweep (default 2)")
+    mpc.add_argument("--n", type=int, help="planner n for --delta-sweep (default 2**20)")
     mpc.add_argument("--delta-sweep", help="LO:HI:STEP exponents of 2")
-    mpc.add_argument("--j", type=int, default=0,
-                     help="size level for --alg hdelta-inner")
+    mpc.add_argument("--j", type=int,
+                     help="size level for --alg hdelta-inner (default 0)")
     mpc.add_argument("--seed", type=int, default=0)
     mpc.add_argument("--format", choices=("csv", "json"), default="csv")
     mpc.set_defaults(func=cmd_mpc)

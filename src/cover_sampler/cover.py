@@ -19,12 +19,12 @@ one of two paths, chosen from its batch size alone: a large batch gathers
 the instance's CSR ``indptr``/``indices`` arrays, its only stored layout,
 with numpy; a small one walks tuple rows from Python, each cut from the
 arrays on its first read (`SetCoverInstance.set_rows`), so a solve cuts
-only the rows its small batches read.  The size-threshold solver reads a
-large step group of its exact-size oracle the same way, as arrays, and
+only the rows its small batches read.  The size-threshold solver reads the
+sizes of a large step group the same way, as arrays, noisy or exact, and
 `step_groups` groups a large draw by one sort.  Both paths charge the work
 counters from the same row lengths and leave the same state, so outputs
 and counters do not depend on the path.  Solvers are deterministic given
-(instance, eps, rng seed).
+their arguments and the rng seed.
 """
 
 from __future__ import annotations
@@ -73,37 +73,10 @@ class CostCounters:
     rebucket_events: int = 0
 
 
-class ExactSize:
-    """Size oracle returning the true residual size."""
-
-    def estimate(self, set_id: int, residual_size: int) -> float:
-        return float(residual_size)
-
-
-class NoisyExactSize:
-    """Size oracle over-approximating by a uniform factor in [1, 1+delta]."""
-
-    def __init__(self, delta: float, rng: np.random.Generator):
-        if not (math.isfinite(delta) and delta >= 0):
-            raise ValueError(f"delta must be finite and nonnegative, got {delta}")
-        self.delta = delta
-        self.rng = rng
-
-    def estimate(self, set_id: int, residual_size: int) -> float:
-        return residual_size * self.rng.uniform(1.0, 1.0 + self.delta)
-
-
-def _effective_eps(eps: float, calibrated: bool) -> float:
-    # the calibrated flag trades a 4x longer schedule for the tighter (1+eps)
-    # guarantee; the caller's eps must be in range either way
-    compute_b(eps)
-    return eps / 4.0 if calibrated else eps
-
-
 # Path crossovers, set by timing both paths on the m = 6e5 benchmark instance
 # and on the 100-instance acceptance corpus.  A batch of at least _VECTOR_MIN
-# items (a step's sampled elements, a step group of sets whose exact sizes
-# hdelta reads, the sets of a cover to verify) and a commit walking at least
+# items (a step's sampled elements, a step group of sets whose sizes hdelta
+# reads, the sets of a cover to verify) and a commit walking at least
 # _VECTOR_MIN_ENTRIES row entries take the numpy path; smaller ones stay in
 # Python, which has no per-call overhead.  A commit counts entries because its
 # Python cost grows with row length.
@@ -238,14 +211,13 @@ class _SweepState:
 
 
 def f_approx_online(instance: SetCoverInstance, eps: float,
-                    rng: np.random.Generator,
-                    calibrated: bool = False) -> tuple[Cover, CostCounters]:
+                    rng: np.random.Generator) -> tuple[Cover, CostCounters]:
     """Frequency-factor solver, sampling live elements afresh each step."""
-    eff = _effective_eps(eps, calibrated)
+    compute_b(eps)  # rejects a bad eps even when there is no work
     counters = CostCounters()
     if instance.num_elements == 0:
         return Cover(()), counters
-    sched = schedule_for_max_size(instance.delta, eff)
+    sched = schedule_for_max_size(instance.delta, eps)
     p = probabilities(sched).tolist()
     state = _SweepState(instance, counters)
     live_ids = np.arange(instance.num_elements)
@@ -272,15 +244,14 @@ def f_approx_online(instance: SetCoverInstance, eps: float,
 
 
 def f_approx_bucketed(instance: SetCoverInstance, eps: float,
-                      rng: np.random.Generator,
-                      calibrated: bool = False) -> tuple[Cover, CostCounters]:
+                      rng: np.random.Generator) -> tuple[Cover, CostCounters]:
     """Frequency-factor solver with all sampling steps drawn upfront; each
     element is then examined exactly once, in its own step's sweep."""
-    eff = _effective_eps(eps, calibrated)
+    compute_b(eps)  # rejects a bad eps even when there is no work
     counters = CostCounters()
     if instance.num_elements == 0:
         return Cover(()), counters
-    sched = schedule_for_max_size(instance.delta, eff)
+    sched = schedule_for_max_size(instance.delta, eps)
     state = _SweepState(instance, counters)
     for _, group in step_groups(sched, rng, instance.num_elements):
         state.sweep_step(group)
@@ -303,8 +274,7 @@ class BatchRecord:
 
 
 def hdelta_cover(instance: SetCoverInstance, eps: float,
-                 rng: np.random.Generator, size_oracle=None,
-                 calibrated: bool = False,
+                 rng: np.random.Generator, oracle_delta: float = 0.0,
                  batch_log: list[BatchRecord] | None = None
                  ) -> tuple[Cover, CostCounters]:
     """Size-threshold solver: walk size levels j from the largest down; within
@@ -313,22 +283,26 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
 
     A visit reads a set's residual size from the commit engine and is charged
     1 + the size read at the set's previous visit (its whole row at the
-    first), the length of the residual list a scan would walk.
+    first), the length of the residual list a scan would walk.  The estimate
+    is the size itself, or with ``oracle_delta`` > 0 the size times a factor
+    drawn from ``rng`` uniformly in [1, 1 + oracle_delta], one per visit of a
+    set with a nonzero residual, in group order.
     """
-    eff = _effective_eps(eps, calibrated)
+    compute_b(eps)  # rejects a bad eps even when there is no work
+    if not (math.isfinite(oracle_delta) and oracle_delta >= 0):
+        raise ValueError(f"delta must be finite and nonnegative, got {oracle_delta}")
     counters = CostCounters()
     if instance.num_elements == 0:
         return Cover(()), counters
-    oracle = size_oracle if size_oracle is not None else ExactSize()
-    sched = schedule_for_frequency(instance.freq, eff)
-    log_base = math.log1p(eff)
+    sched = schedule_for_frequency(instance.freq, eps)
+    log_base = math.log1p(eps)
     level_cap = guarded_floor(math.log(instance.delta) / log_base)
+    noisy = oracle_delta > 0
 
     state = _SweepState(instance, counters)
     covered, residual, set_rows = state.covered_buf, state.residual_buf, state.set_rows
     seen = array("q", residual)
     seen_view = np.frombuffer(seen, dtype=np.int64)
-    exact = type(oracle) is ExactSize
     levels: dict[int, list[int]] = defaultdict(list)
     # the size level of each estimate, from math.log (numpy's log can differ
     # in the last bit), once per distinct estimate
@@ -341,27 +315,32 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         members = levels.pop(j, [])
         if not members:
             continue
-        threshold = (1.0 + eff) ** j
+        threshold = (1.0 + eps) ** j
         # meets_threshold's comparison, with its bound computed once
         guard = threshold * (1.0 - INTEGER_GUARD)
-        member_ids = np.array(members) if exact and len(members) >= _VECTOR_MIN else None
+        member_ids = np.array(members) if len(members) >= _VECTOR_MIN else None
         for i, group in step_groups(sched, rng, len(members)):
             counters.steps_executed += 1
             if member_ids is not None and len(group) >= _VECTOR_MIN:
-                # an exact estimate is the size itself, so a large group is
-                # read and tested with arrays; only rebucketed sets, in group
-                # order, are visited one at a time
+                # a large group is read and tested with arrays, its noise
+                # drawn as one vector, which gives the same doubles as one
+                # draw per set; only rebucketed sets, in group order, are
+                # visited one at a time
                 sets = member_ids[group]
                 sizes = state.residual[sets]
                 before = int(seen_view[sets].sum())
                 seen_view[sets] = sizes
-                meets = sizes >= guard
+                live = sizes != 0
+                sets, sizes = sets[live], sizes[live]
+                estimates = (sizes * rng.uniform(1.0, 1.0 + oracle_delta, sizes.size)
+                             if noisy else sizes)
+                meets = estimates >= guard
                 batch, batch_sizes = sets[meets].tolist(), sizes[meets].tolist()
-                drop = ~meets & (sizes != 0)
+                drop = ~meets
                 dropped = sets[drop].tolist()
                 counters.rebucket_events += len(dropped)
-                for s, size in zip(dropped, sizes[drop].tolist()):
-                    levels[max(min(level_of(size), j - 1), 0)].append(s)
+                for s, estimate in zip(dropped, estimates[drop].tolist()):
+                    levels[max(min(level_of(estimate), j - 1), 0)].append(s)
             else:
                 before = 0
                 batch, batch_sizes = [], []
@@ -370,7 +349,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
                     size = seen[s] = residual[s]
                     if size == 0:
                         continue
-                    estimate = size if exact else oracle.estimate(s, size)
+                    estimate = size * rng.uniform(1.0, 1.0 + oracle_delta) if noisy else size
                     if estimate >= guard:
                         batch.append(s)
                         batch_sizes.append(size)

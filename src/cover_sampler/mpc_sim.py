@@ -281,16 +281,21 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     probability, committed in batches, and removed with their elements.
 
     The pools are the first (k+1) x T doubles of ``rng``'s stream, row i
-    before row i+1, and the sampling coins follow them.  On a PCG64 or
-    PCG64DXSM stream row i is drawn only when step i runs, from a copy of
-    the bit generator advanced by i*T, and none is drawn at q = 1, where
-    every row is all True; ``rng`` itself is advanced past the pools.  Other
-    bit generators fill the pools upfront.  The pass stops at the first step
-    with no eligible set: estimates only fall and chosen sets stay chosen,
-    so no later step can commit or draw a coin.  Batches and the final
-    state of ``rng`` are those of the upfront fill run to step 0.
+    before row i+1, and the sampling coins follow them.  Row i is drawn only
+    when step i runs, from a copy of the bit generator advanced by i*T, and
+    none is drawn at q = 1, where every row is all True; ``rng`` itself is
+    advanced past the pools.  This needs a bit generator whose ``advance``
+    skips doubles, PCG64 or PCG64DXSM (``derive_rng`` gives PCG64); any other
+    is refused with `InvalidConfig` and left untouched.  The pass stops at the
+    first step with no eligible set: estimates only fall and chosen sets stay
+    chosen, so no later step can commit or draw a coin.  Batches and the
+    final state of ``rng`` are those of an upfront fill run to step 0.
     """
     compute_b(eps)  # before the level cap divides by log1p(eps)
+    bitgen = rng.bit_generator
+    if type(bitgen) not in _ADVANCE_BY_DOUBLES:
+        raise InvalidConfig("degree estimation needs a PCG64 or PCG64DXSM bit "
+                            f"generator, got {type(bitgen).__name__}")
     log_base = math.log1p(eps)
     level_cap = guarded_floor(math.log(max(instance.delta, 1)) / log_base)
     if not (0 <= level <= level_cap):
@@ -305,28 +310,20 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     if num_elements == 0:
         return trace
 
-    bitgen = rng.bit_generator
-    if type(bitgen) in _ADVANCE_BY_DOUBLES:
-        start = bitgen.state
-        bitgen.advance((sched.k + 1) * num_elements)
-        # advance drops a buffered 32-bit half, which drawing doubles keeps
-        moved = bitgen.state
-        moved["has_uint32"], moved["uinteger"] = start["has_uint32"], start["uinteger"]
-        bitgen.state = moved
-        cursor = type(bitgen)()
-        draw = np.random.Generator(cursor)
+    start = bitgen.state
+    bitgen.advance((sched.k + 1) * num_elements)
+    # advance drops a buffered 32-bit half, which drawing doubles keeps
+    moved = bitgen.state
+    moved["has_uint32"], moved["uinteger"] = start["has_uint32"], start["uinteger"]
+    bitgen.state = moved
+    cursor = type(bitgen)()
+    draw = np.random.Generator(cursor)
 
-        def pool(i: int) -> np.ndarray:
-            cursor.state = start
-            cursor.advance(i * num_elements)
-            return draw.random(num_elements) < q
-    else:
-        # row by row draws the same stream as one (k+1) x T draw, without
-        # its float64 temporary
-        pools = np.empty((sched.k + 1, num_elements), dtype=bool)
-        for row in pools:
-            np.less(rng.random(num_elements), q, out=row)
-        pool = pools.__getitem__
+    def pool(i: int) -> np.ndarray:
+        cursor.state = start
+        cursor.advance(i * num_elements)
+        return draw.random(num_elements) < q
+
     state = _SweepState(instance, CostCounters())
     # the incidences of still uncovered elements, dropped as they get covered
     edge_sets = np.repeat(np.arange(instance.num_sets), state.residual)

@@ -7,10 +7,10 @@ probability.  The process stops at the first step whose sample is nonempty;
 ``z`` is that step's index (-1 if no sample ever lands) and ``r_z`` the
 sample size there.
 
-`run_ssp` executes one run faithfully on item ids.  The estimators handle
-large trial counts by drawing (z, r_z) from the process's exact stopping
-law, built from the adversary's size-only view (`Adversary.stopping_law`);
-custom adversaries without one fall back to `run_ssp`, one run per trial.
+`run_ssp` executes one run faithfully on item ids, for any adversary.  The
+estimators handle large trial counts by drawing (z, r_z) from the process's
+exact stopping law, built from the adversary's size-only view
+(`Adversary.stopping_law`); they refuse an adversary without one.
 Each deterministic shrinking adversary states one pool-size rule
 (`_SizeRule.next_size`); its `shrink` and `size_sequence` follow from it.
 Tests cross-validate the closed form against `run_ssp` and exact values.
@@ -39,7 +39,7 @@ class Adversary(ABC):
     ``shrink`` receives the step about to be sampled, the current pool as an
     id set, and the history of earlier (empty) samples; it must return a
     subset.  ``keep`` names an item the adversary must not delete.  Built-ins
-    also expose a size-only view, `stopping_law`, used by the batch estimators.
+    also expose a size-only view, `stopping_law`, which the estimators need.
     Deterministic shrinkers subclass the private `_SizeRule` and state only
     its pool-size rule ``next_size``.
     """
@@ -325,27 +325,12 @@ def _zr_from_law(counts: np.ndarray, hazards: np.ndarray,
     return r, marked
 
 
-def _zr_via_runs(config: SspConfig, sched: Schedule, trials: int, protect: bool):
-    """Fallback for custom adversaries without a size-only view."""
-    marked = 0 if protect else None
-    r = np.empty(trials, dtype=np.int64)
-    contains = np.zeros(trials, dtype=bool)
-    for t in range(trials):
-        cfg = SspConfig(initial_size=config.initial_size, eps=config.eps,
-                        adversary=config.adversary, k=sched.k,
-                        seed=int(derive_rng(config.seed, 3, t).integers(2**63)),
-                        marked=marked)
-        trace = run_ssp(cfg)
-        r[t] = trace.r_z
-        contains[t] = trace.contains_marked
-    return r, contains
-
-
 def _batch_zr(config: SspConfig, sched: Schedule, trials: int,
               rng: np.random.Generator, protect: bool):
     law = config.adversary.stopping_law(sched, config.initial_size, protect)
     if law is None:
-        return _zr_via_runs(config, sched, trials, protect)
+        raise InvalidConfig(f"adversary {config.adversary.name!r} has no stopping "
+                            "law to estimate from; run_ssp runs it one trial at a time")
     counts, hazards = law
     marked_p = probabilities(sched) if protect else None
     return _zr_from_law(counts, hazards, marked_p, trials, rng)

@@ -11,7 +11,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from cover_sampler.cover import BatchRecord, Cover, CostCounters, ExactSize
+from cover_sampler.cover import BatchRecord, Cover, CostCounters
 from cover_sampler.matching import Matching
 from cover_sampler.mpc_sim import (CASE1_EXPONENT_SCALE, TAU_CONSTANT, DegreeBatch,
                                    MpcReport, PhasePlan, PhaseRecord, PlannedPhase,
@@ -81,12 +81,11 @@ def ref_buckets(assignment):
     return buckets
 
 
-def ref_online(instance, eps, rng, calibrated=False):
-    eff = eps / 4.0 if calibrated else eps
+def ref_online(instance, eps, rng):
     counters = CostCounters()
     if instance.num_elements == 0:
         return Cover(()), counters
-    sched = schedule_for_max_size(instance.delta, eff)
+    sched = schedule_for_max_size(instance.delta, eps)
     p = probabilities(sched)
     state = RefState(instance, counters)
     live_ids = np.arange(instance.num_elements)
@@ -107,12 +106,11 @@ def ref_online(instance, eps, rng, calibrated=False):
     return state.cover(), counters
 
 
-def ref_bucketed(instance, eps, rng, calibrated=False):
-    eff = eps / 4.0 if calibrated else eps
+def ref_bucketed(instance, eps, rng):
     counters = CostCounters()
     if instance.num_elements == 0:
         return Cover(()), counters
-    sched = schedule_for_max_size(instance.delta, eff)
+    sched = schedule_for_max_size(instance.delta, eps)
     buckets = ref_buckets(sample_alias(alias_for_schedule(sched), rng,
                                        size=instance.num_elements))
     state = RefState(instance, counters)
@@ -121,15 +119,13 @@ def ref_bucketed(instance, eps, rng, calibrated=False):
     return state.cover(), counters
 
 
-def ref_hdelta(instance, eps, rng, size_oracle=None, calibrated=False, batch_log=None):
-    eff = eps / 4.0 if calibrated else eps
+def ref_hdelta(instance, eps, rng, oracle_delta=0.0, batch_log=None):
     counters = CostCounters()
     if instance.num_elements == 0:
         return Cover(()), counters
-    oracle = size_oracle if size_oracle is not None else ExactSize()
-    sched = schedule_for_frequency(instance.freq, eff)
+    sched = schedule_for_frequency(instance.freq, eps)
     table = alias_for_schedule(sched)
-    log_base = math.log1p(eff)
+    log_base = math.log1p(eps)
     level_cap = guarded_floor(math.log(instance.delta) / log_base)
     state = RefState(instance, counters)
     packed = [list(a) for a in state.set_rows]
@@ -141,7 +137,7 @@ def ref_hdelta(instance, eps, rng, size_oracle=None, calibrated=False, batch_log
         members = levels.pop(j, [])
         if not members:
             continue
-        threshold = (1.0 + eff) ** j
+        threshold = (1.0 + eps) ** j
         step_groups = ref_buckets(sample_alias(table, rng, size=len(members)))
         for i in sorted(step_groups, reverse=True):
             counters.steps_executed += 1
@@ -155,7 +151,9 @@ def ref_hdelta(instance, eps, rng, size_oracle=None, calibrated=False, batch_log
                 size = len(packed[s])
                 if size == 0:
                     continue
-                estimate = oracle.estimate(s, size)
+                estimate = size
+                if oracle_delta:
+                    estimate = size * rng.uniform(1.0, 1.0 + oracle_delta)
                 if meets_threshold(estimate, threshold):
                     batch.append(s)
                 else:

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from cover_sampler import (NoisyExactSize, SspConfig, builtin_adversaries,
-                           bucket_distribution, compute_b,
+from cover_sampler import (SspConfig, builtin_adversaries, bucket_distribution, compute_b,
                            estimate_conditional_multiplicity,
                            estimate_expected_rz, exact_max_matching,
                            exact_min_cover, f_approx_bucketed, f_approx_online,
@@ -155,9 +154,7 @@ def test_criterion_05_size_threshold_guarantee(cover_corpus):
         for run in range(50):
             rng = derive_rng(501, idx, run)
             log = []
-            cover, _ = hdelta_cover(inst, eps, rng,
-                                    size_oracle=NoisyExactSize(noise, rng),
-                                    batch_log=log)
+            cover, _ = hdelta_cover(inst, eps, rng, oracle_delta=noise, batch_log=log)
             assert verify_cover(inst, cover)[0]
             noisy.append(cover.size / (opt * h_delta))
             for rec in log:

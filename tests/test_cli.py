@@ -10,7 +10,7 @@ import pytest
 
 from cover_sampler import cli, oracle
 from cover_sampler.cli import main
-from cover_sampler.cover import NoisyExactSize, hdelta_cover
+from cover_sampler.cover import hdelta_cover
 from cover_sampler.instance import (generate_random_hypergraph,
                                     generate_random_instance, parse_instance,
                                     serialize_hypergraph, serialize_instance)
@@ -115,6 +115,16 @@ def test_solve_reports_the_calibrated_internal_eps(capsys, sc_file, alg):
         assert row["eps"] == "0.2" and float(row["internal_eps"]) == internal
 
 
+def test_solve_calibrated_runs_longer_schedule(capsys, sc_file):
+    steps = []
+    for flags in ((), ("--calibrated",)):
+        code, out, _ = run_cli(capsys, "solve", "--alg", "f-online", "--eps", "0.4",
+                               "--seed", "6", *flags, sc_file)
+        assert code == 0
+        steps.append(int(parse_csv(out)[0]["steps_executed"]))
+    assert steps[1] > steps[0]
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "--eps", "0.25"),
     ("solve", "--gen-sc", "-5:3:1", "--alg", "f-online", "--eps", "0.25"),
@@ -151,7 +161,7 @@ def test_solve_oracle_delta_seeded_output(capsys, sc_file):
     with open(sc_file) as fh:
         inst = parse_instance(fh.read())
     rng = derive_rng(4, 0)
-    cover, counters = hdelta_cover(inst, 0.25, rng, size_oracle=NoisyExactSize(0.3, rng))
+    cover, counters = hdelta_cover(inst, 0.25, rng, oracle_delta=0.3)
     code, out, _ = run_cli(capsys, "solve", "--alg", "hdelta", "--eps", "0.25",
                            "--seed", "4", "--oracle-delta", "0.3", sc_file)
     assert code == 0
@@ -409,6 +419,29 @@ def test_mpc_planner_sweep_rejects_what_it_would_ignore(capsys, sc_file, extra, 
     code, out, err = run_cli(capsys, "mpc", "--delta-sweep", "4:6:1", "--eps", "0.25", *argv)
     assert code == 1 and out == ""
     assert "CoverSamplerError" in err and message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["INPUT", "--j", "3"], "--j applies only to --alg hdelta-inner"),
+    (["INPUT", "--f", "9", "--n", "5"], "--f and --n apply only to --delta-sweep"),
+    (["INPUT", "--alg", "hdelta-inner", "--n", "5"], "--f and --n apply only"),
+    (["--delta-sweep", "3:4:1", "--j", "2"], "--j applies only to --alg hdelta-inner"),
+], ids=["phase-sim-j", "phase-sim-f-n", "hdelta-inner-n", "sweep-j"])
+def test_mpc_rejects_flags_it_would_ignore(capsys, sc_file, argv, message):
+    argv = [sc_file if a == "INPUT" else a for a in argv]
+    code, out, err = run_cli(capsys, "mpc", "--eps", "0.25", *argv)
+    assert code == 1 and out == ""
+    assert "CoverSamplerError" in err and message in err
+
+
+@pytest.mark.parametrize("argv,defaults", [
+    (["--delta-sweep", "4:6:1"], ["--f", "2", "--n", str(2 ** 20)]),
+    (["--alg", "hdelta-inner", "INPUT"], ["--j", "0"]),
+], ids=["sweep", "hdelta-inner"])
+def test_mpc_flag_defaults(capsys, sc_file, argv, defaults):
+    argv = ["mpc", "--eps", "0.25"] + [sc_file if a == "INPUT" else a for a in argv]
+    implicit, explicit = (run_cli(capsys, *argv, *extra) for extra in ([], defaults))
+    assert implicit == explicit and implicit[0] == 0 and implicit[1]
 
 
 def test_mpc_phase_sim(capsys, sc_file):

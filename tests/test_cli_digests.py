@@ -49,9 +49,12 @@ CASES = {
     "solve-match": "solve {hg} --alg match --eps 0.1 --seed 3",
     "solve-match-target-eps": "solve {hg} --alg match --target-eps 0.3 --copies 2 --seed 8",
     "solve-bad-eps": "solve {sc} --alg hdelta --eps 0.75",
+    "solve-bad-oracle-delta": "solve {sc} --alg hdelta --eps 0.1 --oracle-delta nan",
+    "solve-calibrated-bad-eps": "solve {sc} --alg f-online --eps 0.9 --calibrated",
     "mpc-phase-sim": "mpc {sc} --eps 0.25 --seed 3",
     "mpc-phase-sim-small-eps": "mpc {sc} --eps 0.05 --seed 9 --format json",
     "mpc-hdelta-inner": "mpc {sc} --alg hdelta-inner --eps 0.25 --j 1 --seed 3",
+    "mpc-phase-sim-rejects-j": "mpc {sc} --eps 0.25 --j 3",
     "mpc-delta-sweep": "mpc --delta-sweep 2:20:6 --eps 0.25 --f 3 --n 100000",
     "mpc-delta-sweep-small-eps": "mpc --delta-sweep 3:3:1 --eps 0.01",
     "verify-lemmas": ("verify-lemmas --eps 0.25 --eps 0.5 --n 10 --n 40 --trials 1000 "

@@ -1,14 +1,12 @@
 """Cover solvers: validity, determinism, work counters, batch invariants,
 and the distributional equivalence of the two frequency-solver variants."""
 
-import math
-
 import pytest
 from scipy.stats import ks_2samp
 
-from cover_sampler import (Cover, ExactSize, NoisyExactSize, f_approx_bucketed,
-                           f_approx_online, generate_random_instance,
-                           hdelta_cover, parse_instance, verify_cover)
+from cover_sampler import (Cover, f_approx_bucketed, f_approx_online,
+                           generate_random_instance, hdelta_cover, parse_instance,
+                           verify_cover)
 from cover_sampler.cover import BatchRecord, CostCounters
 from cover_sampler.instance import SetCoverInstance
 from cover_sampler.util import derive_rng
@@ -100,18 +98,6 @@ def test_online_and_bucketed_same_distribution():
     assert ks_2samp(online, bucketed).statistic < 0.05
 
 
-def test_calibrated_runs_longer_schedule(small_instance):
-    _, raw = f_approx_bucketed(small_instance, 0.4, derive_rng(6))
-    _, cal = f_approx_online(small_instance, 0.4, derive_rng(6), calibrated=True)
-    assert cal.steps_executed > raw.steps_executed
-
-
-def test_calibrated_still_validates_caller_eps(small_instance):
-    from cover_sampler import InvalidEpsilon
-    with pytest.raises(InvalidEpsilon):
-        f_approx_bucketed(small_instance, 0.9, derive_rng(6), calibrated=True)
-
-
 def test_hdelta_single_large_set_committed_at_top_level():
     inst = single_set_instance(num_elements=16)
     log = []
@@ -178,26 +164,12 @@ def test_hdelta_noisy_oracle_invariants(small_instance):
     for seed in range(30):
         rng = derive_rng(9, seed)
         log: list[BatchRecord] = []
-        cover, _ = hdelta_cover(small_instance, eps, rng,
-                                size_oracle=NoisyExactSize(delta, rng),
+        cover, _ = hdelta_cover(small_instance, eps, rng, oracle_delta=delta,
                                 batch_log=log)
         assert verify_cover(small_instance, cover)[0]
         for rec in log:
             assert rec.min_committed_size * (1 + eps) ** 2 * (1 + delta) >= \
                 rec.max_live_size * (1 - 1e-9)
-
-
-def test_noisy_oracle_contract():
-    rng = derive_rng(10)
-    oracle = NoisyExactSize(0.2, rng)
-    for size in (1, 5, 40):
-        for _ in range(200):
-            est = oracle.estimate(0, size)
-            assert size <= est <= 1.2 * size * (1 + 1e-12)
-    assert ExactSize().estimate(3, 17) == 17.0
-    for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            NoisyExactSize(bad, rng)
 
 
 def test_hdelta_rebuckets_shrinking_sets():

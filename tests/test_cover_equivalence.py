@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from cover_sampler import cli, cover, schedule
 from cover_sampler.corpus import build_cover_corpus
-from cover_sampler.cover import (Cover, NoisyExactSize, f_approx_bucketed, f_approx_online,
-                                 hdelta_cover, verify_cover)
+from cover_sampler.cover import (Cover, f_approx_bucketed, f_approx_online, hdelta_cover,
+                                 verify_cover)
 from cover_sampler.instance import (Hypergraph, SetCoverInstance, generate_random_hypergraph,
                                     generate_random_instance, parse_hypergraph, parse_instance,
                                     parse_text, serialize_hypergraph, serialize_instance,
@@ -47,19 +47,23 @@ def crossover(mp, name):
 
 def solver_outcomes(inst, eps, seed, online, bucketed, hdelta):
     out = {}
-    for calibrated in (False, True):
+    # each at eps and at the command line's calibrated eps / 4
+    for run_eps in (eps, eps / 4.0):
         for name, fn in (("online", online), ("bucketed", bucketed)):
-            c, counters = fn(inst, eps, derive_rng(seed), calibrated=calibrated)
-            out[name, calibrated] = (c, astuple(counters))
+            c, counters = fn(inst, run_eps, derive_rng(seed))
+            out[name, run_eps] = (c, astuple(counters))
         log = []
-        c, counters = hdelta(inst, eps, derive_rng(seed), calibrated=calibrated,
-                             batch_log=log)
-        out["hdelta", calibrated] = (c, astuple(counters), log)
-    rng = derive_rng(seed, 1)
-    log = []
-    c, counters = hdelta(inst, eps, rng, size_oracle=NoisyExactSize(0.3, rng), batch_log=log)
-    out["hdelta-noisy"] = (c, astuple(counters), log)
+        c, counters = hdelta(inst, run_eps, derive_rng(seed), batch_log=log)
+        out["hdelta", run_eps] = (c, astuple(counters), log)
+    out["hdelta-noisy"] = noisy_outcome(hdelta, inst, eps, derive_rng(seed, 1))
     return out
+
+
+def noisy_outcome(hdelta, inst, eps, rng):
+    log = []
+    c, counters = hdelta(inst, eps, rng, oracle_delta=0.3, batch_log=log)
+    # the final generator state shows every noise draw was made
+    return c, astuple(counters), log, rng.bit_generator.state
 
 
 def assert_all_equal(inst, eps, seed, mode):
@@ -121,26 +125,16 @@ def test_level_boundary_sizes_match_reference(mode):
         assert_all_equal(inst, BOUNDARY_EPS, seed, mode)
 
 
-class HalfUpSize:
-    """An oracle that is not one of the built-in ones, asked set by set on
-    both paths."""
-
-    def estimate(self, set_id, residual_size):
-        return residual_size + 0.5 * (set_id % 2)
-
-
 @pytest.mark.parametrize("mode", list(CROSSOVERS))
-def test_other_oracle_matches_reference(mode):
-    inst = generate_random_instance(300, 3000, 3, seed=4)
-    for eps in (0.1, 0.5):
-        ref_log, log = [], []
-        expected = ref_hdelta(inst, eps, derive_rng(7), size_oracle=HalfUpSize(),
-                              batch_log=ref_log)
-        with pytest.MonkeyPatch.context() as mp:
-            crossover(mp, mode)
-            got = hdelta_cover(inst, eps, derive_rng(7), size_oracle=HalfUpSize(),
-                               batch_log=log)
-        assert got == expected and log == ref_log
+def test_noisy_oracle_matches_reference(mode):
+    # 29 step groups of at least 128 sets, so the default crossovers draw
+    # the noise of large groups as one vector
+    inst = generate_random_instance(4000, 12000, 3, seed=4)
+    expected = noisy_outcome(ref_hdelta, inst, 0.5, derive_rng(7))
+    with pytest.MonkeyPatch.context() as mp:
+        crossover(mp, mode)
+        got = noisy_outcome(hdelta_cover, inst, 0.5, derive_rng(7))
+    assert got == expected
 
 
 @pytest.mark.parametrize("mode", list(CROSSOVERS))

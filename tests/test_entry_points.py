@@ -4,6 +4,9 @@ line reports it as exit code 1 with no traceback.
 
 The sampling-process entries take a pool size, not an input; a pool of size 0
 is an `InvalidConfig` whatever eps, so their smallest case is a one-item pool.
+
+The size-threshold solver's oracle over-approximation factor is checked the
+same way, after eps.
 """
 
 import math
@@ -77,6 +80,8 @@ def files(tmp_path_factory):
 COMMANDS = [
     ("solve", "--alg", "f-online"),
     ("solve", "--alg", "f-bucketed"),
+    # the calibrated schedule runs at eps / 4, but the caller's eps is checked
+    ("solve", "--alg", "f-bucketed", "--calibrated"),
     ("solve", "--alg", "hdelta"),
     ("solve", "--alg", "match"),
     ("mpc",),
@@ -95,6 +100,16 @@ def test_cli_rejects_eps(capsys, files, command, eps, empty):
     assert code == cli.EXIT_USAGE and captured.out == ""
     assert "InvalidEpsilon" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "full"])
+@pytest.mark.parametrize("delta", [-0.1, math.nan, math.inf], ids=str)
+def test_hdelta_rejects_oracle_delta_after_eps(delta, empty):
+    inst = parse_instance(EMPTY_SC if empty else FULL_SC)
+    with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+        hdelta_cover(inst, 0.25, derive_rng(0), oracle_delta=delta)
+    with pytest.raises(InvalidEpsilon):
+        hdelta_cover(inst, 0.0, derive_rng(0), oracle_delta=delta)
 
 
 TINY_EPS = {

@@ -11,10 +11,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from cover_sampler import mpc_sim
-from cover_sampler import (InvalidConfig, f_approx_bucketed, generate_random_hypergraph,
-                           generate_random_instance, hypergraph_matching,
-                           plan_phases, simulate_degree_estimation,
-                           simulate_mpc_f_approx, verify_cover)
+from cover_sampler import (InvalidConfig, InvalidEpsilon, f_approx_bucketed,
+                           generate_random_hypergraph, generate_random_instance,
+                           hypergraph_matching, plan_phases,
+                           simulate_degree_estimation, simulate_mpc_f_approx,
+                           verify_cover)
 from cover_sampler.instance import Hypergraph, SetCoverInstance
 from cover_sampler.mpc_sim import (DegreeBatch, amplify_to_whp,
                                   sparsify_non_isolated_counts)
@@ -325,13 +326,12 @@ def _halves(num_elements):
         2, num_elements, [(t % 2, t) for t in range(num_elements)])
 
 
-@pytest.mark.parametrize("bit_generator", [
-    np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
 def test_degree_estimation_pools_match_the_upfront_fill(bit_generator):
-    # PCG64 streams draw each pool row when its step runs (or none at q = 1)
-    # and stop early; the others fill the pools upfront.  Both must give the
-    # reference's batches and leave the caller's generator where it does.
-    # A buffered 32-bit half from an earlier int32 draw must survive.
+    # each pool row is drawn when its step runs (or none at q = 1) and the
+    # pass stops early, yet the batches are the upfront-fill reference's and
+    # the caller's generator ends where the reference leaves it.  A buffered
+    # 32-bit half from an earlier int32 draw must survive.
     halves = _halves(20000)
     cases = [(generate_random_instance(12, 80, 3, seed=s), 0.25, level)
              for s in range(2) for level in (0, 2)]
@@ -347,6 +347,28 @@ def test_degree_estimation_pools_match_the_upfront_fill(bit_generator):
         assert _same_state(ours.bit_generator.state, theirs.bit_generator.state)
         q_values.append(trace.q)
     assert min(q_values) < 0.6 and max(q_values) == 1.0
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937,
+                                           np.random.SFC64])
+def test_degree_estimation_refuses_generators_without_double_advance(bit_generator):
+    # the upfront (k+1) x T pools such a generator would need take 4 MB
+    # here; the refusal comes after the eps check and before anything is
+    # sized or drawn
+    inst = _halves(20000)
+    rng = np.random.Generator(bit_generator(3))
+    before = rng.bit_generator.state
+    with pytest.raises(InvalidEpsilon):
+        simulate_degree_estimation(inst, 0.0, 0, rng)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfig, match="PCG64 or PCG64DXSM"):
+            simulate_degree_estimation(inst, 0.1, 0, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert _same_state(rng.bit_generator.state, before)
 
 
 def test_degree_estimation_memory_does_not_follow_k_times_t():

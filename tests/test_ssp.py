@@ -281,13 +281,15 @@ def test_marked_share_matches_exact_value(name, n, eps):
     assert abs(share - _exact_marked_share(adv, n, eps)) <= 3 * ci
 
 
-def test_custom_adversary_falls_back_to_direct_runs():
+def test_estimators_refuse_an_adversary_without_a_stopping_law():
+    # the estimators draw only from the exact stopping law; only run_ssp
+    # runs such an adversary
     cfg = SspConfig(initial_size=6, eps=0.5, adversary=KillEverythingEarly(),
                     seed=9)
-    mean, ci = estimate_expected_rz(cfg, 1000)
-    assert mean - ci <= 3.0  # bound 1 + 4 * 0.5
-    p, ci = estimate_conditional_multiplicity(cfg, 0, 1000)
-    assert p - ci <= 3.0  # bound 6 * 0.5
+    with pytest.raises(InvalidConfig, match="'kill-all' has no stopping law"):
+        estimate_expected_rz(cfg, 1000)
+    with pytest.raises(InvalidConfig, match="'kill-all' has no stopping law"):
+        estimate_conditional_multiplicity(cfg, 0, 1000)
 
 
 def test_insufficient_samples_raised():
