@@ -174,6 +174,8 @@ def cmd_mpc(args) -> int:
             raise CoverSamplerError("--delta-sweep plans phases and reads no instance file")
         if args.alg == "hdelta-inner":
             raise CoverSamplerError("--delta-sweep runs the planner, not --alg hdelta-inner")
+        if args.seed is not None:
+            raise CoverSamplerError("--delta-sweep draws nothing, so it takes no --seed")
         for exp in _parse_sweep(args.delta_sweep):
             delta = 2 ** exp
             plan = plan_phases(delta, 2 if args.f is None else args.f, args.eps,
@@ -195,9 +197,9 @@ def cmd_mpc(args) -> int:
     if args.eps is None:
         raise CoverSamplerError("--eps required")
     instance = parse_instance(_read_text(args.input))
+    rng = derive_rng(args.seed or 0, 0)
     if args.alg == "hdelta-inner":
-        trace = simulate_degree_estimation(instance, args.eps, args.j or 0,
-                                           derive_rng(args.seed, 0))
+        trace = simulate_degree_estimation(instance, args.eps, args.j or 0, rng)
         for batch in trace.batches:
             rows.append({
                 "level": trace.level, "q": f"{trace.q:.6g}",
@@ -208,8 +210,7 @@ def cmd_mpc(args) -> int:
             })
         _emit(rows, args.format)
         return EXIT_OK
-    cover, report = simulate_mpc_f_approx(instance, args.eps,
-                                          derive_rng(args.seed, 0))
+    cover, report = simulate_mpc_f_approx(instance, args.eps, rng)
     if not report.phases:
         rows.append({"phase_index": 0, "case": 0, "r_j": 0,
                      "sampled_prob_start": 0.0, "relevant_elements": 0,
@@ -419,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     mpc.add_argument("--delta-sweep", help="LO:HI:STEP exponents of 2")
     mpc.add_argument("--j", type=int,
                      help="size level for --alg hdelta-inner (default 0)")
-    mpc.add_argument("--seed", type=int, default=0)
+    mpc.add_argument("--seed", type=int,
+                     help="simulation seed (default 0); not with --delta-sweep")
     mpc.add_argument("--format", choices=("csv", "json"), default="csv")
     mpc.set_defaults(func=cmd_mpc)
 

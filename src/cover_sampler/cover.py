@@ -17,14 +17,17 @@ phase simulator and the degree-estimation pass in ``mpc_sim``; it holds the
 one covered/chosen/residual bookkeeping.  Each sweep step and commit takes
 one of two paths, chosen from its batch size alone: a large batch gathers
 the instance's CSR ``indptr``/``indices`` arrays, its only stored layout,
-with numpy; a small one walks tuple rows from Python, each cut from the
-arrays on its first read (`SetCoverInstance.set_rows`), so a solve cuts
-only the rows its small batches read.  The size-threshold solver reads the
-sizes of a large step group the same way, as arrays, noisy or exact, and
-`step_groups` groups a large draw by one sort.  Both paths charge the work
-counters from the same row lengths and leave the same state, so outputs
-and counters do not depend on the path.  Solvers are deterministic given
-their arguments and the rng seed.
+with numpy, and dedups ids by a sort or a mask (`_sorted_distinct`); a
+small one walks tuple rows from Python, each cut from the arrays on its
+first read (`SetCoverInstance.set_rows`), so a solve cuts only the rows its
+small batches read.  A small commit that newly covers many elements lowers
+their sets' residuals with one gather of the element rows rather than
+cutting each row.  The size-threshold solver reads the sizes of a large
+step group the same way, as arrays, noisy or exact, and files the sets a
+level drops by one sort; `step_groups` groups a large draw by one sort.
+Every path charges the work counters from the same row lengths and leaves
+the same state, so outputs and counters do not depend on the path.  Solvers
+are deterministic given their arguments and the rng seed.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .instance import SetCoverInstance
 from .schedule import (compute_b, probabilities, schedule_for_frequency,
                        schedule_for_max_size, step_groups)
@@ -76,12 +80,19 @@ class CostCounters:
 # Path crossovers, set by timing both paths on the m = 6e5 benchmark instance
 # and on the 100-instance acceptance corpus.  A batch of at least _VECTOR_MIN
 # items (a step's sampled elements, a step group of sets whose sizes hdelta
-# reads, the sets of a cover to verify) and a commit walking at least
-# _VECTOR_MIN_ENTRIES row entries take the numpy path; smaller ones stay in
-# Python, which has no per-call overhead.  A commit counts entries because its
-# Python cost grows with row length.
+# reads, the sets a level of hdelta drops, the sets of a cover to verify) and
+# a commit walking at least _VECTOR_MIN_ENTRIES row entries take the numpy
+# path; smaller ones stay in Python, which has no per-call overhead.  A commit
+# counts entries because its Python cost grows with row length.  A Python-path
+# commit that newly covers at least _RESIDUAL_MIN elements lowers the
+# residuals of their sets with one gather of the element rows; fewer walk the
+# rows one at a time.  The gather costs about as much as walking 30 rows
+# already cut, or 10 still to be cut; 64 keeps the corpus's small instances,
+# whose rows are soon all cut, walking.  A commit whose sets times the largest
+# set size stay below _RESIDUAL_MIN cannot reach it, so walks as it goes.
 _VECTOR_MIN = 128
 _VECTOR_MIN_ENTRIES = 256
+_RESIDUAL_MIN = 64
 
 
 def _gather(csr: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
@@ -95,6 +106,23 @@ def _gather(csr: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
     return indices[np.repeat(starts - ends + lengths, lengths) + np.arange(total)]
 
 
+def _sorted_distinct(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``np.unique(ids)`` for a 1-d int array of ids in [0, bound): the
+    distinct ids ascending, in the dtype of ``ids``.  A batch of at least
+    half the id range marks a boolean mask over the range; a smaller one is
+    sorted and keeps each id that differs from its left neighbour.  Neither
+    takes the hash-table path numpy's ``unique`` takes from 2.3 on."""
+    if 2 * ids.size >= bound:
+        mask = np.zeros(bound, dtype=bool)
+        mask[ids] = True
+        return np.flatnonzero(mask).astype(ids.dtype, copy=False)
+    ranked = np.sort(ids)
+    keep = np.empty(ranked.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=keep[1:])
+    return ranked[keep]
+
+
 class _SweepState:
     """The one commit engine: covered elements, chosen sets and residual set
     sizes, updated only by `commit`.  Every cover solver, the phase simulator
@@ -106,12 +134,16 @@ class _SweepState:
     over tuple rows through the ``bytearray``/``array`` buffers; ``set_rows``
     and ``element_rows``, the instance's row caches bound once, cut each row
     on its first read, so a solve cuts only the rows its small batches read
-    and a solve whose every batch is large cuts none.  The numpy
-    path gathers the instance's CSR arrays: the uncovered sampled elements'
-    sets, then ``np.unique`` of the unchosen ones, their rows, and the sets of
-    the newly covered elements, whose residuals drop by one
-    ``np.subtract.at`` in O(hits) rather than O(num_sets), all through numpy
-    views of the same buffers.  Counters are charged from the gathered sizes.
+    and a solve whose every batch is large cuts none.  A Python commit
+    that may newly cover ``_RESIDUAL_MIN`` elements collects them, then
+    lowers their sets' residuals row by row, or with one gather and one
+    ``np.subtract.at`` once there are that many.  The numpy path gathers the
+    instance's CSR arrays: the uncovered sampled elements' sets, the
+    distinct unchosen ones (`_sorted_distinct`, ascending as
+    ``np.unique``), their rows, and the sets of the newly covered elements,
+    whose residuals drop by one ``np.subtract.at`` in O(hits) rather than
+    O(num_sets), all through numpy views of the same buffers.  Counters are
+    charged from the gathered sizes.
     """
 
     def __init__(self, instance: SetCoverInstance, counters: CostCounters):
@@ -150,15 +182,16 @@ class _SweepState:
             self.chosen.extend(sets.tolist())
             elements = _gather(inst.set_csr, sets)
             entries = elements.size
-            fresh = np.unique(elements[~self.covered[elements]])
+            fresh = _sorted_distinct(elements[~self.covered[elements]], inst.num_elements)
             self.covered[fresh] = True
             hit = _gather(inst.element_csr, fresh)
             np.subtract.at(self.residual, hit, 1)
         else:
-            set_rows, element_rows = self.set_rows, self.element_rows
-            covered, chosen, residual = self.covered_buf, self.chosen_buf, self.residual_buf
+            set_rows, covered, chosen = self.set_rows, self.covered_buf, self.chosen_buf
+            element_rows, residual = self.element_rows, self.residual_buf
             self.chosen.extend(sets)
             entries = 0
+            fresh = None if len(sets) * inst.delta < _RESIDUAL_MIN else []
             for s in sets:
                 chosen[s] = 1
                 row = set_rows[s]
@@ -166,8 +199,18 @@ class _SweepState:
                 for t in row:
                     if not covered[t]:
                         covered[t] = 1
-                        for s2 in element_rows[t]:
-                            residual[s2] -= 1
+                        if fresh is None:
+                            for s2 in element_rows[t]:
+                                residual[s2] -= 1
+                        else:
+                            fresh.append(t)
+            if fresh and len(fresh) >= _RESIDUAL_MIN:
+                hit = _gather(inst.element_csr, np.array(fresh))
+                np.subtract.at(self.residual, hit, 1)
+            elif fresh:
+                for t in fresh:
+                    for s2 in element_rows[t]:
+                        residual[s2] -= 1
         if walked is None:
             walked = entries
         c = self.counters
@@ -188,7 +231,7 @@ class _SweepState:
             sets = _gather(inst.element_csr, ids[~self.covered[ids]])
             c.edge_touches += sets.size
             c.set_touches += sets.size
-            self.commit(np.unique(sets[~self.set_chosen[sets]]))
+            self.commit(_sorted_distinct(sets[~self.set_chosen[sets]], inst.num_sets))
             return
         if isinstance(element_ids, np.ndarray):
             element_ids = element_ids.tolist()
@@ -290,7 +333,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     """
     compute_b(eps)  # rejects a bad eps even when there is no work
     if not (math.isfinite(oracle_delta) and oracle_delta >= 0):
-        raise ValueError(f"delta must be finite and nonnegative, got {oracle_delta}")
+        raise InvalidConfig(f"delta must be finite and nonnegative, got {oracle_delta}")
     counters = CostCounters()
     if instance.num_elements == 0:
         return Cover(()), counters
@@ -303,13 +346,40 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     covered, residual, set_rows = state.covered_buf, state.residual_buf, state.set_rows
     seen = array("q", residual)
     seen_view = np.frombuffer(seen, dtype=np.int64)
+
+    def level_of(e) -> int:
+        # math.log: numpy's log can differ in the last bit
+        return guarded_floor(math.log(e) / log_base)
+    # exact sizes take few distinct values; a noisy estimate rarely recurs
+    if not noisy:
+        level_of = functools.cache(level_of)
     levels: dict[int, list[int]] = defaultdict(list)
-    # the size level of each estimate, from math.log (numpy's log can differ
-    # in the last bit), once per distinct estimate
-    level_of = functools.cache(lambda e: guarded_floor(math.log(e) / log_base))
-    for s, n in enumerate(residual):
-        if n:
-            levels[min(level_of(n), level_cap)].append(s)
+
+    def file_by_level(sets: np.ndarray, estimates: np.ndarray, cap: int) -> None:
+        """Append each set to the level of its estimate, clamped to [0, cap],
+        in the order given: numpy's log, which can differ from math.log in
+        the last bit, with math.log redone for each quotient near enough an
+        integer that the guarded floor could move, then one stable sort."""
+        quotients = np.log(estimates) / log_base
+        found = np.floor(quotients).astype(np.int64)
+        near = np.flatnonzero(np.abs(quotients - np.rint(quotients)) <= 2 * INTEGER_GUARD)
+        found[near] = [level_of(e) for e in estimates[near].tolist()]
+        targets = np.maximum(np.minimum(found, cap), 0)
+        order = np.argsort(targets, kind="stable")
+        ranked, ids = targets[order], sets[order]
+        # levels are nonnegative, so the prepended -1 opens the first run
+        starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+        bounds = starts.tolist() + [order.size]
+        for level, a, b in zip(ranked[starts].tolist(), bounds, bounds[1:]):
+            levels[level] += ids[a:b].tolist()
+
+    if instance.num_sets >= _VECTOR_MIN:
+        live = np.flatnonzero(state.residual)
+        file_by_level(live, state.residual[live], level_cap)
+    else:
+        for s, n in enumerate(residual):
+            if n:
+                levels[min(level_of(n), level_cap)].append(s)
 
     for j in range(level_cap, -1, -1):
         members = levels.pop(j, [])
@@ -319,13 +389,16 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         # meets_threshold's comparison, with its bound computed once
         guard = threshold * (1.0 - INTEGER_GUARD)
         member_ids = np.array(members) if len(members) >= _VECTOR_MIN else None
+        # every set this level drops goes to a lower one, read only after
+        # this level ends, so a large level files them all after its last
+        # group; a small one files each at once
+        dropped, dropped_estimates = [], []
         for i, group in step_groups(sched, rng, len(members)):
             counters.steps_executed += 1
             if member_ids is not None and len(group) >= _VECTOR_MIN:
                 # a large group is read and tested with arrays, its noise
                 # drawn as one vector, which gives the same doubles as one
-                # draw per set; only rebucketed sets, in group order, are
-                # visited one at a time
+                # draw per set
                 sets = member_ids[group]
                 sizes = state.residual[sets]
                 before = int(seen_view[sets].sum())
@@ -337,10 +410,9 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
                 meets = estimates >= guard
                 batch, batch_sizes = sets[meets].tolist(), sizes[meets].tolist()
                 drop = ~meets
-                dropped = sets[drop].tolist()
-                counters.rebucket_events += len(dropped)
-                for s, estimate in zip(dropped, estimates[drop].tolist()):
-                    levels[max(min(level_of(estimate), j - 1), 0)].append(s)
+                dropped += sets[drop].tolist()
+                dropped_estimates += estimates[drop].tolist()
+                counters.rebucket_events += len(sets) - len(batch)
             else:
                 before = 0
                 batch, batch_sizes = [], []
@@ -355,7 +427,11 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
                         batch_sizes.append(size)
                     else:
                         counters.rebucket_events += 1
-                        levels[max(min(level_of(estimate), j - 1), 0)].append(s)
+                        if member_ids is None:
+                            levels[max(min(level_of(estimate), j - 1), 0)].append(s)
+                        else:
+                            dropped.append(s)
+                            dropped_estimates.append(estimate)
             counters.set_touches += len(group) + before
             counters.edge_touches += before
             if not batch:
@@ -372,6 +448,8 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
                     min_committed_size=min(batch_sizes), max_live_size=max_live,
                     cover_multiplicities=tuple(covering.values())))
             state.commit(batch, sum(batch_sizes))
+        if dropped:
+            file_by_level(np.array(dropped), np.array(dropped_estimates), j - 1)
     return state.cover(), counters
 
 

@@ -21,8 +21,9 @@ class InvalidEpsilon(CoverSamplerError):
     """eps outside the supported range (0, 1/2]."""
 
 
-class InvalidConfig(CoverSamplerError):
-    """A sampling-process configuration violates its preconditions."""
+class InvalidConfig(CoverSamplerError, ValueError):
+    """A configuration violates its preconditions.  Also a `ValueError`, the
+    type some of these refusals raised before they were typed."""
 
 
 class InsufficientTrials(CoverSamplerError):

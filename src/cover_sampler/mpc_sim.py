@@ -65,9 +65,9 @@ def plan_phases(delta: int, freq: int, eps: float, n: int) -> PhasePlan:
     ceil(ln tau / ln freq) when it dominates (case 3).  Lengths are clamped to
     the remaining steps and to ceil(log2 n)."""
     if delta < 1 or freq < 1:
-        raise ValueError("delta and freq must be >= 1")
+        raise InvalidConfig("delta and freq must be >= 1")
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidConfig("n must be >= 2")
     sched = schedule_for_max_size(delta, eps)
     p = probabilities(sched)
     ln_n = math.log(n)
@@ -299,7 +299,7 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     log_base = math.log1p(eps)
     level_cap = guarded_floor(math.log(max(instance.delta, 1)) / log_base)
     if not (0 <= level <= level_cap):
-        raise ValueError(f"level must lie in [0, {level_cap}]")
+        raise InvalidConfig(f"level must lie in [0, {level_cap}]")
     sched = schedule_for_frequency(max(instance.freq, 1), eps)
     p = probabilities(sched)
     n_total = instance.num_sets + instance.num_elements

@@ -426,7 +426,10 @@ def test_mpc_planner_sweep_rejects_what_it_would_ignore(capsys, sc_file, extra, 
     (["INPUT", "--f", "9", "--n", "5"], "--f and --n apply only to --delta-sweep"),
     (["INPUT", "--alg", "hdelta-inner", "--n", "5"], "--f and --n apply only"),
     (["--delta-sweep", "3:4:1", "--j", "2"], "--j applies only to --alg hdelta-inner"),
-], ids=["phase-sim-j", "phase-sim-f-n", "hdelta-inner-n", "sweep-j"])
+    (["--delta-sweep", "3:4:1", "--seed", "5"], "--delta-sweep draws nothing"),
+    (["--delta-sweep", "3:4:1", "--seed", "0"], "--delta-sweep draws nothing"),
+], ids=["phase-sim-j", "phase-sim-f-n", "hdelta-inner-n", "sweep-j", "sweep-seed",
+        "sweep-seed-0"])
 def test_mpc_rejects_flags_it_would_ignore(capsys, sc_file, argv, message):
     argv = [sc_file if a == "INPUT" else a for a in argv]
     code, out, err = run_cli(capsys, "mpc", "--eps", "0.25", *argv)
@@ -437,7 +440,9 @@ def test_mpc_rejects_flags_it_would_ignore(capsys, sc_file, argv, message):
 @pytest.mark.parametrize("argv,defaults", [
     (["--delta-sweep", "4:6:1"], ["--f", "2", "--n", str(2 ** 20)]),
     (["--alg", "hdelta-inner", "INPUT"], ["--j", "0"]),
-], ids=["sweep", "hdelta-inner"])
+    (["--alg", "hdelta-inner", "INPUT"], ["--seed", "0"]),
+    (["INPUT"], ["--seed", "0"]),
+], ids=["sweep", "hdelta-inner", "hdelta-inner-seed", "phase-sim-seed"])
 def test_mpc_flag_defaults(capsys, sc_file, argv, defaults):
     argv = ["mpc", "--eps", "0.25"] + [sc_file if a == "INPUT" else a for a in argv]
     implicit, explicit = (run_cli(capsys, *argv, *extra) for extra in ([], defaults))

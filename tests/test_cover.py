@@ -1,6 +1,8 @@
 """Cover solvers: validity, determinism, work counters, batch invariants,
 and the distributional equivalence of the two frequency-solver variants."""
 
+import tracemalloc
+
 import pytest
 from scipy.stats import ks_2samp
 
@@ -181,6 +183,25 @@ def test_hdelta_rebuckets_shrinking_sets():
         _, counters = hdelta_cover(inst, 0.25, derive_rng(11, seed))
         total += counters.rebucket_events
     assert total > 0
+
+
+def test_hdelta_noisy_peak_does_not_grow_with_rebucket_visits():
+    # about 7,600 noisy estimates are rebucketed; the solve's peak stays that
+    # of the exact solve, which has no noise to keep
+    inst = generate_random_instance(2000, 20000, 3, seed=5)
+    inst.set_rows, inst.element_rows  # the row caches are the instance's
+    peaks, rebuckets = [], []
+    for delta in (0.0, 0.3):
+        hdelta_cover(inst, 0.1, derive_rng(1), oracle_delta=delta)
+        tracemalloc.start()
+        try:
+            _, counters = hdelta_cover(inst, 0.1, derive_rng(1), oracle_delta=delta)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rebuckets.append(counters.rebucket_events)
+    assert min(rebuckets) > 5000
+    assert peaks[1] < 1.25 * peaks[0] + 2 ** 16
 
 
 def test_verify_cover_reports_witness():

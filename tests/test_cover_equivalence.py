@@ -42,6 +42,7 @@ def crossover(mp, name):
     if value is not None:
         mp.setattr(cover, "_VECTOR_MIN", value)
         mp.setattr(cover, "_VECTOR_MIN_ENTRIES", value)
+        mp.setattr(cover, "_RESIDUAL_MIN", value)
         mp.setattr(schedule, "_GROUP_SORT_MIN", value)
 
 
@@ -108,6 +109,34 @@ def test_solvers_match_reference_on_larger_instances(mode, eps):
     for inst_seed, shape in ((1, (300, 3000, 3)), (2, (40, 4000, 4))):
         inst = generate_random_instance(*shape, seed=inst_seed)
         assert_all_equal(inst, eps, inst_seed, mode)
+
+
+@pytest.mark.parametrize("residual_min", [0, 10 ** 9])
+def test_python_commits_match_reference_on_both_residual_paths(residual_min):
+    # every commit walks its set rows in Python, then lowers the residuals
+    # with one gather (0) or one element row at a time (10**9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "_VECTOR_MIN_ENTRIES", 10 ** 9)
+        mp.setattr(cover, "_RESIDUAL_MIN", residual_min)
+        for inst_seed, shape in ((1, (300, 3000, 3)), (2, (40, 4000, 4))):
+            inst = generate_random_instance(*shape, seed=inst_seed)
+            assert_all_equal(inst, 0.25, inst_seed, "default")
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([np.int64, np.int32]))
+def test_sorted_distinct_equals_unique(data, dtype):
+    # bounds up to twice the id count take the mask, larger ones the sort
+    bound = data.draw(st.one_of(st.integers(1, 400), st.just(2 ** 31 - 1)))
+    ids = st.integers(0, bound - 1)
+    values = data.draw(st.one_of(
+        st.just([]),
+        st.lists(ids, min_size=1, max_size=1),
+        st.builds(lambda v, n: [v] * n, ids, st.integers(2, 300)),
+        st.lists(ids, max_size=800)))
+    arr = np.array(values, dtype=dtype)
+    got, want = cover._sorted_distinct(arr, bound), np.unique(arr)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("mode", list(CROSSOVERS))

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from cover_sampler import (InvalidConfig, InvalidEpsilon, SspConfig, cli,
+from cover_sampler import (CoverSamplerError, InvalidConfig, InvalidEpsilon, SspConfig, cli,
                            estimate_conditional_multiplicity, estimate_expected_rz,
                            f_approx_bucketed, f_approx_online,
                            generate_random_hypergraph, generate_random_instance,
@@ -110,6 +110,26 @@ def test_hdelta_rejects_oracle_delta_after_eps(delta, empty):
         hdelta_cover(inst, 0.25, derive_rng(0), oracle_delta=delta)
     with pytest.raises(InvalidEpsilon):
         hdelta_cover(inst, 0.0, derive_rng(0), oracle_delta=delta)
+
+
+# name -> a call each of whose arguments but one is valid
+CONFIG_REFUSALS = {
+    "hdelta_cover oracle_delta": lambda: hdelta_cover(
+        parse_instance(FULL_SC), 0.25, derive_rng(0), oracle_delta=math.nan),
+    "plan_phases delta": lambda: plan_phases(0, 2, 0.25, 1000),
+    "plan_phases freq": lambda: plan_phases(16, 0, 0.25, 1000),
+    "plan_phases n": lambda: plan_phases(16, 2, 0.25, 1),
+    "simulate_degree_estimation level": lambda: simulate_degree_estimation(
+        parse_instance(FULL_SC), 0.25, -1, derive_rng(0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CONFIG_REFUSALS))
+def test_config_refusals_are_typed(entry):
+    # InvalidConfig is also a ValueError, the type these sites raised before
+    with pytest.raises(CoverSamplerError) as info:
+        CONFIG_REFUSALS[entry]()
+    assert type(info.value) is InvalidConfig and isinstance(info.value, ValueError)
 
 
 TINY_EPS = {
