@@ -14,20 +14,22 @@ Three solvers share one sampling law:
 
 All three commit through one engine, `_SweepState`, which also drives the
 phase simulator and the degree-estimation pass in ``mpc_sim``; it holds the
-one covered/chosen/residual bookkeeping.  Each sweep step and commit takes
-one of two paths, chosen from its batch size alone: a large batch gathers
-the instance's CSR ``indptr``/``indices`` arrays, its only stored layout,
-with numpy, and dedups ids by a sort or a mask (`_sorted_distinct`); a
-small one walks tuple rows from Python, each cut from the arrays on its
-first read (`SetCoverInstance.set_rows`), so a solve cuts only the rows its
-small batches read.  A small commit that newly covers many elements lowers
-their sets' residuals with one gather of the element rows rather than
-cutting each row.  The size-threshold solver reads the sizes of a large
-step group the same way, as arrays, noisy or exact, and files the sets a
-level drops by one sort; `step_groups` groups a large draw by one sort.
-Every path charges the work counters from the same row lengths and leaves
-the same state, so outputs and counters do not depend on the path.  Solvers
-are deterministic given their arguments and the rng seed.
+one covered/residual bookkeeping, the chosen sets and the count of uncovered
+elements.  Each sweep step and commit takes one of two paths, chosen from
+its batch size alone: a large batch gathers the instance's CSR
+``indptr``/``indices`` arrays, its only stored layout, with numpy, and
+dedups ids by a sort or a mask (`_sorted_distinct`); a small one walks
+tuple rows from Python, each cut from the arrays on its first read
+(`SetCoverInstance.set_rows`), so a solve cuts only the rows its small
+batches read.  Every commit then lowers the residuals of its newly covered
+elements' sets in one place: one gather of the element rows when the
+commit was large or covered many elements, else row by row.  The
+size-threshold solver reads the sizes of a large step group the same way,
+as arrays, noisy or exact, and files the sets a level drops by one sort;
+`step_groups` groups a large draw by one sort.  Every path charges the work
+counters from the same row lengths and leaves the same state, so outputs
+and counters do not depend on the path.  Solvers are deterministic given
+their arguments and the rng seed.
 """
 
 from __future__ import annotations
@@ -88,8 +90,7 @@ class CostCounters:
 # residuals of their sets with one gather of the element rows; fewer walk the
 # rows one at a time.  The gather costs about as much as walking 30 rows
 # already cut, or 10 still to be cut; 64 keeps the corpus's small instances,
-# whose rows are soon all cut, walking.  A commit whose sets times the largest
-# set size stay below _RESIDUAL_MIN cannot reach it, so walks as it goes.
+# whose rows are soon all cut, walking.
 _VECTOR_MIN = 128
 _VECTOR_MIN_ENTRIES = 256
 _RESIDUAL_MIN = 64
@@ -124,48 +125,52 @@ def _sorted_distinct(ids: np.ndarray, bound: int) -> np.ndarray:
 
 
 class _SweepState:
-    """The one commit engine: covered elements, chosen sets and residual set
-    sizes, updated only by `commit`.  Every cover solver, the phase simulator
-    and the degree-estimation pass commit through it, so the simulator
-    reproduces the plain sweep bit for bit.
+    """The one commit engine: covered elements, residual set sizes, the
+    chosen sets and the number of uncovered elements, updated only by
+    `commit`.  Every cover solver, the phase simulator and the
+    degree-estimation pass commit through it, so the simulator reproduces
+    the plain sweep bit for bit.
+
+    A chosen set is fully covered: `commit` covers every element of each set
+    it chooses.  So a chosen set's residual is 0 and no uncovered element
+    belongs to it, and the sets reached from uncovered elements, or read
+    with a nonzero residual, are unchosen without a test.
 
     `sweep_step` and `commit` pick their path per call from the batch size
     (see ``_VECTOR_MIN``), counting from the arrays.  The Python path loops
     over tuple rows through the ``bytearray``/``array`` buffers; ``set_rows``
     and ``element_rows``, the instance's row caches bound once, cut each row
     on its first read, so a solve cuts only the rows its small batches read
-    and a solve whose every batch is large cuts none.  A Python commit
-    that may newly cover ``_RESIDUAL_MIN`` elements collects them, then
-    lowers their sets' residuals row by row, or with one gather and one
-    ``np.subtract.at`` once there are that many.  The numpy path gathers the
-    instance's CSR arrays: the uncovered sampled elements' sets, the
-    distinct unchosen ones (`_sorted_distinct`, ascending as
-    ``np.unique``), their rows, and the sets of the newly covered elements,
-    whose residuals drop by one ``np.subtract.at`` in O(hits) rather than
-    O(num_sets), all through numpy views of the same buffers.  Counters are
-    charged from the gathered sizes.
+    and a solve whose every batch is large cuts none.  The numpy path
+    gathers the instance's CSR arrays: the uncovered sampled elements' sets,
+    the distinct ones (`_sorted_distinct`, ascending as ``np.unique``) and
+    their rows, all through numpy views of the same buffers.  Either path
+    ends in one residual update, see `commit`.  Counters are charged from
+    the gathered sizes.
     """
 
     def __init__(self, instance: SetCoverInstance, counters: CostCounters):
         self.instance = instance
         self.counters = counters
         self.covered_buf = bytearray(instance.num_elements)
-        self.chosen_buf = bytearray(instance.num_sets)
         indptr = instance.set_csr[0]
         self.row_length = array("q", (indptr[1:] - indptr[:-1]).astype(np.int64).tobytes())
         self.residual_buf = array("q", self.row_length)
         self.covered = np.frombuffer(self.covered_buf, dtype=bool)
-        self.set_chosen = np.frombuffer(self.chosen_buf, dtype=bool)
         self.residual = np.frombuffer(self.residual_buf, dtype=np.int64)
         self.chosen: list[int] = []
+        self.uncovered = instance.num_elements
         self.set_rows, self.element_rows = instance.set_rows, instance.element_rows
 
     def commit(self, sets, walked: int | None = None) -> None:
         """Choose ``sets`` (distinct and unchosen; a list or an int array)
-        and cover their rows; each newly covered element shrinks its sets'
-        residuals once.  ``walked``, the number of row entries the caller
-        reads (all of them by default), is charged once to edge and element
-        touches."""
+        and cover their rows, collecting the newly covered elements.  Each
+        of those shrinks its sets' residuals once: by one gather of the
+        element rows and one ``np.subtract.at``, in O(hits) rather than
+        O(num_sets), after a numpy-path commit or when there are at least
+        ``_RESIDUAL_MIN`` of them, else row by row.  ``walked``, the number
+        of row entries the caller reads (all of them by default), is charged
+        once to edge and element touches."""
         inst = self.instance
         if isinstance(sets, list):
             # rows too few to reach the crossover are not counted first
@@ -178,39 +183,32 @@ class _SweepState:
             sets = sets if vector else sets.tolist()
         if vector:
             sets = np.asarray(sets, dtype=np.int64)
-            self.set_chosen[sets] = True
             self.chosen.extend(sets.tolist())
             elements = _gather(inst.set_csr, sets)
             entries = elements.size
             fresh = _sorted_distinct(elements[~self.covered[elements]], inst.num_elements)
             self.covered[fresh] = True
-            hit = _gather(inst.element_csr, fresh)
-            np.subtract.at(self.residual, hit, 1)
         else:
-            set_rows, covered, chosen = self.set_rows, self.covered_buf, self.chosen_buf
-            element_rows, residual = self.element_rows, self.residual_buf
+            set_rows, covered = self.set_rows, self.covered_buf
             self.chosen.extend(sets)
             entries = 0
-            fresh = None if len(sets) * inst.delta < _RESIDUAL_MIN else []
+            fresh = []
             for s in sets:
-                chosen[s] = 1
                 row = set_rows[s]
                 entries += len(row)
                 for t in row:
                     if not covered[t]:
                         covered[t] = 1
-                        if fresh is None:
-                            for s2 in element_rows[t]:
-                                residual[s2] -= 1
-                        else:
-                            fresh.append(t)
-            if fresh and len(fresh) >= _RESIDUAL_MIN:
-                hit = _gather(inst.element_csr, np.array(fresh))
-                np.subtract.at(self.residual, hit, 1)
-            elif fresh:
-                for t in fresh:
-                    for s2 in element_rows[t]:
-                        residual[s2] -= 1
+                        fresh.append(t)
+        self.uncovered -= len(fresh)
+        if vector or len(fresh) >= _RESIDUAL_MIN:
+            hit = _gather(inst.element_csr, np.asarray(fresh, dtype=np.int64))
+            np.subtract.at(self.residual, hit, 1)
+        else:
+            residual, element_rows = self.residual_buf, self.element_rows
+            for t in fresh:
+                for s in element_rows[t]:
+                    residual[s] -= 1
         if walked is None:
             walked = entries
         c = self.counters
@@ -231,11 +229,11 @@ class _SweepState:
             sets = _gather(inst.element_csr, ids[~self.covered[ids]])
             c.edge_touches += sets.size
             c.set_touches += sets.size
-            self.commit(_sorted_distinct(sets[~self.set_chosen[sets]], inst.num_sets))
+            self.commit(_sorted_distinct(sets, inst.num_sets))
             return
         if isinstance(element_ids, np.ndarray):
             element_ids = element_ids.tolist()
-        covered, chosen, element_rows = self.covered_buf, self.chosen_buf, self.element_rows
+        covered, element_rows = self.covered_buf, self.element_rows
         batch: dict[int, None] = {}
         for t in element_ids:
             if covered[t]:
@@ -244,8 +242,7 @@ class _SweepState:
             c.edge_touches += len(row)
             c.set_touches += len(row)
             for s in row:
-                if not chosen[s]:
-                    batch[s] = None
+                batch[s] = None
         if batch:
             self.commit(list(batch))
 
@@ -437,7 +434,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
             if not batch:
                 continue
             if batch_log is not None:
-                max_live = int(state.residual[~state.set_chosen].max(initial=0))
+                max_live = int(state.residual.max(initial=0))
                 # coverage has not moved since the batch was read, so this
                 # counts each newly covered element once per batch set that
                 # covers it

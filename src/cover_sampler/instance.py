@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyEdge, InfeasibleInstance, ParseError
+from .errors import EmptyEdge, InfeasibleInstance, InvalidConfig, ParseError
 from .util import derive_rng
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -481,9 +481,9 @@ def generate_random_instance(num_sets: int, num_elements: int,
     """Random instance where every element lands in exactly ``element_degree``
     distinct uniformly chosen sets, so freq == element_degree."""
     if element_degree < 1:
-        raise ValueError("element_degree must be at least 1")
+        raise InvalidConfig("element_degree must be at least 1")
     if element_degree > num_sets:
-        raise ValueError(
+        raise InvalidConfig(
             f"element_degree {element_degree} exceeds num_sets {num_sets}")
     rng = derive_rng(seed)
     sets = np.array([rng.choice(num_sets, size=element_degree, replace=False)
@@ -498,10 +498,10 @@ def generate_random_hypergraph(num_vertices: int, num_edges: int, rank: int,
     """Random hypergraph with distinct edges of size in [min_size, rank]
     (exactly ``rank`` by default)."""
     if rank < 1 or rank > num_vertices:
-        raise ValueError("need 1 <= rank <= num_vertices")
+        raise InvalidConfig("need 1 <= rank <= num_vertices")
     lo = rank if min_size is None else min_size
     if not (1 <= lo <= rank):
-        raise ValueError("need 1 <= min_size <= rank")
+        raise InvalidConfig("need 1 <= min_size <= rank")
     rng = derive_rng(seed)
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -509,7 +509,7 @@ def generate_random_hypergraph(num_vertices: int, num_edges: int, rank: int,
     while len(edges) < num_edges:
         attempts += 1
         if attempts > 1000 * num_edges:
-            raise ValueError("could not generate enough distinct edges")
+            raise InvalidConfig("could not generate enough distinct edges")
         size = int(rng.integers(lo, rank + 1))
         e = tuple(sorted(int(v) for v in rng.choice(num_vertices, size=size, replace=False)))
         if e in seen:

@@ -180,30 +180,27 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     state = _SweepState(instance, report.counters)
     element_rows = state.element_rows
     rounds = 0
-    # only a commit changes coverage or residuals, and every commit grows
-    # state.chosen, so each whole-array scan is redone only when the number
-    # of chosen sets moved since that scan last ran
-    live_scanned_at = residual_scanned_at = -1
+    # only a commit changes residuals, and every commit grows state.chosen,
+    # so the whole-array scan is redone only when the number of chosen sets
+    # moved since it last ran
+    residual_scanned_at = -1
     for idx, phase in enumerate(plan.phases):
         i_hi = phase.start_step
         i_lo = phase.start_step - phase.length + 1
-        if len(state.chosen) != live_scanned_at:
-            live_scanned_at = len(state.chosen)
-            live_elements = int((~state.covered).sum())
+        live_elements = state.uncovered
         relevant = [t for i in range(i_lo, i_hi + 1) for t in buckets.get(i, ())
                     if not state.covered_buf[t]]
-        # relevant element u is node u; each live set touching one is the
-        # next node after them
+        # relevant element u is node u; each set touching one, unchosen as
+        # the element is uncovered, is the next node after them
         adj: list[list[int]] = [[] for _ in relevant]
         set_node: dict[int, int] = {}
         for u, t in enumerate(relevant):
             for s in element_rows[t]:
-                if not state.chosen_buf[s]:
-                    if s not in set_node:
-                        set_node[s] = len(adj)
-                        adj.append([])
-                    adj[u].append(set_node[s])
-                    adj[set_node[s]].append(u)
+                if s not in set_node:
+                    set_node[s] = len(adj)
+                    adj.append([])
+                adj[u].append(set_node[s])
+                adj[set_node[s]].append(u)
         max_ball = _max_ball_size(adj, phase.length)
         for i in range(i_hi, i_lo - 1, -1):
             group = buckets.get(i)
@@ -211,7 +208,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
                 state.sweep_step(group)
         if len(state.chosen) != residual_scanned_at:
             residual_scanned_at = len(state.chosen)
-            residual_after = int(state.residual[~state.set_chosen].max(initial=0))
+            residual_after = int(state.residual.max(initial=0))
         rounds += phase.rounds
         report.phases.append(PhaseRecord(
             index=idx, case_tag=phase.case_tag, start_step=i_hi, end_step=i_lo,
@@ -227,7 +224,7 @@ def sparsify_non_isolated_counts(hg: Hypergraph, p: float, trials: int,
                                  rng: np.random.Generator) -> np.ndarray:
     """Vectorized non-isolated vertex counts over repeated sparsifications."""
     if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+        raise InvalidConfig("p must lie in [0, 1]")
     if trials < 0:
         raise InvalidConfig(f"trials must be nonnegative, got {trials}")
     num_edges = hg.num_edges
@@ -333,8 +330,8 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
         hit = edge_sets if q == 1.0 else edge_sets[pool(i)[edge_elems]]
         counts = np.bincount(hit, minlength=instance.num_sets)
         estimates = np.minimum(estimates, counts / q)
-        eligible = ~state.set_chosen & meets_threshold(estimates, threshold)
-        ids = np.flatnonzero(eligible)
+        # a chosen set counts no uncovered element, so its estimate is 0
+        ids = np.flatnonzero(meets_threshold(estimates, threshold))
         if ids.size == 0:
             break
         sampled = ids[rng.random(ids.size) < p[i]]
@@ -359,7 +356,7 @@ def amplify_to_whp(solver, target, eps: float, copies: int, seed: int = 0,
     if every copy is vetoed the last one is returned so the caller can
     report the failure."""
     if copies < 1:
-        raise ValueError("copies must be >= 1")
+        raise InvalidConfig("copies must be >= 1")
     best = None
     last = None
     for c in range(copies):

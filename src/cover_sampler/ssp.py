@@ -1,11 +1,11 @@
 """Sampling process over an adversarially shrinking pool.
 
-Steps run from k down to 0.  Before each step an adversary (which may inspect
-the earlier, necessarily empty, sample results) deletes some pool items; then
-every survivor enters the step's sample independently with the schedule
-probability.  The process stops at the first step whose sample is nonempty;
-``z`` is that step's index (-1 if no sample ever lands) and ``r_z`` the
-sample size there.
+Steps run from k down to 0.  Before each step an adversary deletes some pool
+items, seeing the step and the pool (every earlier sample is empty, so there
+is nothing more to see); then every survivor enters the step's sample
+independently with the schedule probability.  The process stops at the first
+step whose sample is nonempty; ``z`` is that step's index (-1 if no sample
+ever lands) and ``r_z`` the sample size there.
 
 `run_ssp` executes one run faithfully on item ids, for any adversary.  The
 estimators handle large trial counts by drawing (z, r_z) from the process's
@@ -36,10 +36,11 @@ MIN_TRIALS = 1000
 class Adversary(ABC):
     """Shrinks the pool between sampling steps.
 
-    ``shrink`` receives the step about to be sampled, the current pool as an
-    id set, and the history of earlier (empty) samples; it must return a
-    subset.  ``keep`` names an item the adversary must not delete.  Built-ins
-    also expose a size-only view, `stopping_law`, which the estimators need.
+    ``shrink`` receives the step about to be sampled and the current pool
+    as an id set, and must return a subset; the earlier samples are all
+    empty, so they are not passed.  ``keep`` names an item the adversary
+    must not delete.  Built-ins also expose a size-only view,
+    `stopping_law`, which the estimators need.
     Deterministic shrinkers subclass the private `_SizeRule` and state only
     its pool-size rule ``next_size``.
     """
@@ -48,8 +49,7 @@ class Adversary(ABC):
 
     @abstractmethod
     def shrink(self, sched: Schedule, step: int, alive: set[int],
-               history: tuple, rng: np.random.Generator,
-               keep: int | None = None) -> set[int]:
+               rng: np.random.Generator, keep: int | None = None) -> set[int]:
         raise NotImplementedError
 
     def size_sequence(self, sched: Schedule, initial_size: int,
@@ -76,7 +76,7 @@ class Identity(Adversary):
 
     name = "identity"
 
-    def shrink(self, sched, step, alive, history, rng, keep=None):
+    def shrink(self, sched, step, alive, rng, keep=None):
         return set(alive)
 
     def size_sequence(self, sched, initial_size, protect):
@@ -103,7 +103,7 @@ class _SizeRule(Adversary):
     def next_size(self, sched: Schedule, step: int, n: int, protect: bool) -> int:
         raise NotImplementedError
 
-    def shrink(self, sched, step, alive, history, rng, keep=None):
+    def shrink(self, sched, step, alive, rng, keep=None):
         target = self.next_size(sched, step, len(alive), keep is not None)
         if target >= len(alive):
             return set(alive)
@@ -134,10 +134,10 @@ class DeleteSampledNeighbors(Adversary):
 
     def __init__(self, rate: float = 0.5):
         if not (0.0 <= rate <= 1.0):
-            raise ValueError("rate must lie in [0, 1]")
+            raise InvalidConfig("rate must lie in [0, 1]")
         self.rate = rate
 
-    def shrink(self, sched, step, alive, history, rng, keep=None):
+    def shrink(self, sched, step, alive, rng, keep=None):
         out = set()
         for t in sorted(alive):
             if t == keep or rng.random() >= self.rate:
@@ -163,7 +163,7 @@ class AdaptiveKillOnNearMiss(_SizeRule):
     """Whenever the step just executed expected at least eps*(1+eps) samples,
     keeps the constant fraction 0.1 of the pool (rounded down, never below
     the protected item).  Exercises the adaptive side of the adversary
-    interface (the sample history is always empty before the stop step)."""
+    interface (every sample before the stop step is empty)."""
 
     name = "near-miss"
 
@@ -228,12 +228,10 @@ def run_ssp(config: SspConfig) -> SspTrace:
     sched = _resolve_schedule(config)
     rng = derive_rng(config.seed)
     alive = set(range(config.initial_size))
-    history: list[frozenset] = []
     records: list[tuple[int, int, int]] = []
     for i in range(sched.k, -1, -1):
         if i < sched.k:
-            alive = config.adversary.shrink(sched, i, alive, tuple(history),
-                                            rng, keep=config.marked)
+            alive = config.adversary.shrink(sched, i, alive, rng, keep=config.marked)
             if config.marked is not None and config.marked not in alive:
                 raise InvalidConfig("adversary deleted the protected item")
         n_i = len(alive)
@@ -251,7 +249,6 @@ def run_ssp(config: SspConfig) -> SspTrace:
             contains = config.marked is not None and config.marked in sampled
             return SspTrace(tuple(records), z=i, r_z=len(sampled),
                             contains_marked=contains)
-        history.append(frozenset())
     return SspTrace(tuple(records), z=-1, r_z=0, contains_marked=False)
 
 

@@ -123,6 +123,39 @@ def test_python_commits_match_reference_on_both_residual_paths(residual_min):
             assert_all_equal(inst, 0.25, inst_seed, "default")
 
 
+@pytest.mark.parametrize("mode", list(CROSSOVERS))
+def test_commits_leave_chosen_sets_fully_covered(monkeypatch, mode):
+    # the engine keeps no chosen-set flags: it reads a set reached from an
+    # uncovered element, or with a nonzero residual, as unchosen
+    engine_commit = cover._SweepState.commit
+    commits = []
+
+    def checked_commit(state, sets, walked=None):
+        engine_commit(state, sets, walked)
+        chosen = np.array(state.chosen, dtype=np.int64)
+        assert not state.residual[chosen].any()
+        assert state.covered[cover._gather(state.instance.set_csr, chosen)].all()
+        assert state.uncovered == np.count_nonzero(~state.covered)
+        commits.append(len(sets))
+
+    crossover(monkeypatch, mode)
+    monkeypatch.setattr(cover._SweepState, "commit", checked_commit)
+    runs = {
+        "online": lambda inst, rng: f_approx_online(inst, 0.25, rng),
+        "bucketed": lambda inst, rng: f_approx_bucketed(inst, 0.25, rng),
+        "hdelta": lambda inst, rng: hdelta_cover(inst, 0.25, rng),
+        "hdelta-noisy": lambda inst, rng: hdelta_cover(inst, 0.25, rng, oracle_delta=0.3),
+        "mpc": lambda inst, rng: simulate_mpc_f_approx(inst, 0.25, rng),
+        "degree": lambda inst, rng: simulate_degree_estimation(inst, 0.25, 2, rng),
+    }
+    for inst_seed, shape in ((1, (300, 3000, 3)), (2, (40, 4000, 4))):
+        inst = generate_random_instance(*shape, seed=inst_seed)
+        for name, run in runs.items():
+            commits.clear()
+            run(inst, derive_rng(inst_seed))
+            assert commits, name
+
+
 @SETTINGS
 @given(st.data(), st.sampled_from([np.int64, np.int32]))
 def test_sorted_distinct_equals_unique(data, dtype):

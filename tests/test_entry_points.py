@@ -14,7 +14,8 @@ import tracemalloc
 
 import pytest
 
-from cover_sampler import (CoverSamplerError, InvalidConfig, InvalidEpsilon, SspConfig, cli,
+from cover_sampler import (CoverSamplerError, DeleteSampledNeighbors, InvalidConfig,
+                           InvalidEpsilon, SspConfig, amplify_to_whp, cli,
                            estimate_conditional_multiplicity, estimate_expected_rz,
                            f_approx_bucketed, f_approx_online,
                            generate_random_hypergraph, generate_random_instance,
@@ -22,6 +23,7 @@ from cover_sampler import (CoverSamplerError, InvalidConfig, InvalidEpsilon, Ssp
                            parse_instance, plan_phases, run_ssp,
                            serialize_hypergraph, serialize_instance,
                            simulate_degree_estimation, simulate_mpc_f_approx)
+from cover_sampler.mpc_sim import sparsify_non_isolated_counts
 from cover_sampler.ssp import MIN_TRIALS
 from cover_sampler.util import derive_rng
 
@@ -121,6 +123,20 @@ CONFIG_REFUSALS = {
     "plan_phases n": lambda: plan_phases(16, 2, 0.25, 1),
     "simulate_degree_estimation level": lambda: simulate_degree_estimation(
         parse_instance(FULL_SC), 0.25, -1, derive_rng(0)),
+    "generate_random_instance element_degree": lambda: generate_random_instance(
+        12, 40, 0, seed=5),
+    "generate_random_instance element_degree > num_sets": lambda:
+        generate_random_instance(2, 40, 3, seed=5),
+    "generate_random_hypergraph rank": lambda: generate_random_hypergraph(3, 20, 4, seed=6),
+    "generate_random_hypergraph min_size": lambda: generate_random_hypergraph(
+        14, 20, 3, seed=6, min_size=0),
+    "generate_random_hypergraph distinct edges": lambda: generate_random_hypergraph(
+        3, 2, 3, seed=6),
+    "sparsify_non_isolated_counts p": lambda: sparsify_non_isolated_counts(
+        parse_hypergraph(FULL_HG), 1.5, 1, derive_rng(0)),
+    "amplify_to_whp copies": lambda: amplify_to_whp(
+        f_approx_bucketed, parse_instance(FULL_SC), 0.25, 0),
+    "DeleteSampledNeighbors rate": lambda: DeleteSampledNeighbors(1.5),
 }
 
 

@@ -32,7 +32,7 @@ class KillEverythingEarly(Adversary):
 
     name = "kill-all"
 
-    def shrink(self, sched, step, alive, history, rng, keep=None):
+    def shrink(self, sched, step, alive, rng, keep=None):
         return {keep} if keep is not None else set()
 
 
@@ -167,7 +167,7 @@ def test_shrink_follows_size_sequence(adv, protect):
     alive = set(range(n))
     rng = derive_rng(0)
     for i in range(sched.k - 1, -1, -1):
-        shrunk = adv.shrink(sched, i, alive, (), rng, keep=keep)
+        shrunk = adv.shrink(sched, i, alive, rng, keep=keep)
         assert shrunk <= alive
         assert len(shrunk) == seq[i]
         assert not protect or keep in shrunk
