@@ -50,11 +50,10 @@ ALL_CHECKS = ("sample-mean", "multiplicity", "step-bounds", "sparsification",
               "cover-ratio", "matching-ratio")
 
 
-def _emit(rows: list[dict], fmt: str, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
-        json.dump(rows, out, indent=2)
-        out.write("\n")
+        json.dump(rows, sys.stdout, indent=2)
+        sys.stdout.write("\n")
         return
     if not rows:
         return
@@ -63,7 +62,7 @@ def _emit(rows: list[dict], fmt: str, out=None) -> None:
         for key in row:
             if key not in fieldnames:
                 fieldnames.append(key)
-    writer = csv.DictWriter(out, fieldnames=fieldnames, restval="")
+    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, restval="")
     writer.writeheader()
     writer.writerows(rows)
 

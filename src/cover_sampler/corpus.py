@@ -8,14 +8,13 @@ from .instance import (Hypergraph, SetCoverInstance, generate_random_hypergraph,
 from .util import derive_rng
 
 
-def build_cover_corpus(count: int = 100, seed: int = 20240901,
-                       freqs: tuple[int, ...] = (2, 3, 4)) -> list[SetCoverInstance]:
+def build_cover_corpus(count: int = 100, seed: int = 20240901) -> list[SetCoverInstance]:
     """Random instances with at most 25 sets and 80 elements, cycling the
-    element frequency through ``freqs``.  Small enough for the exact oracle."""
+    element frequency through 2, 3 and 4.  Small enough for the exact oracle."""
     rng = derive_rng(seed)
     out = []
     for idx in range(count):
-        f = freqs[idx % len(freqs)]
+        f = 2 + idx % 3
         num_sets = int(rng.integers(max(12, f), 26))
         num_elements = int(rng.integers(30, 81))
         out.append(generate_random_instance(num_sets, num_elements, f,

@@ -18,7 +18,7 @@ one covered/residual bookkeeping, the chosen sets and the count of uncovered
 elements.  Each sweep step and commit takes one of two paths, chosen from
 its batch size alone: a large batch gathers the instance's CSR
 ``indptr``/``indices`` arrays, its only stored layout, with numpy, and
-dedups ids by a sort or a mask (`_sorted_distinct`); a small one walks
+dedups ids by one sort (`_sorted_distinct`); a small one walks
 tuple rows from Python, each cut from the arrays on its first read
 (`SetCoverInstance.set_rows`), so a solve cuts only the rows its small
 batches read.  Every commit then lowers the residuals of its newly covered
@@ -107,16 +107,11 @@ def _gather(csr: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
     return indices[np.repeat(starts - ends + lengths, lengths) + np.arange(total)]
 
 
-def _sorted_distinct(ids: np.ndarray, bound: int) -> np.ndarray:
-    """``np.unique(ids)`` for a 1-d int array of ids in [0, bound): the
-    distinct ids ascending, in the dtype of ``ids``.  A batch of at least
-    half the id range marks a boolean mask over the range; a smaller one is
-    sorted and keeps each id that differs from its left neighbour.  Neither
-    takes the hash-table path numpy's ``unique`` takes from 2.3 on."""
-    if 2 * ids.size >= bound:
-        mask = np.zeros(bound, dtype=bool)
-        mask[ids] = True
-        return np.flatnonzero(mask).astype(ids.dtype, copy=False)
+def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` for a 1-d int array: the distinct ids ascending, in
+    the dtype of ``ids``.  Sorts and keeps each id that differs from its
+    left neighbour, without the hash-table path numpy's ``unique`` takes
+    from 2.3 on."""
     ranked = np.sort(ids)
     keep = np.empty(ranked.size, dtype=bool)
     keep[:1] = True
@@ -186,7 +181,7 @@ class _SweepState:
             self.chosen.extend(sets.tolist())
             elements = _gather(inst.set_csr, sets)
             entries = elements.size
-            fresh = _sorted_distinct(elements[~self.covered[elements]], inst.num_elements)
+            fresh = _sorted_distinct(elements[~self.covered[elements]])
             self.covered[fresh] = True
         else:
             set_rows, covered = self.set_rows, self.covered_buf
@@ -229,7 +224,7 @@ class _SweepState:
             sets = _gather(inst.element_csr, ids[~self.covered[ids]])
             c.edge_touches += sets.size
             c.set_touches += sets.size
-            self.commit(_sorted_distinct(sets, inst.num_sets))
+            self.commit(_sorted_distinct(sets))
             return
         if isinstance(element_ids, np.ndarray):
             element_ids = element_ids.tolist()
@@ -261,12 +256,10 @@ def f_approx_online(instance: SetCoverInstance, eps: float,
     p = probabilities(sched).tolist()
     state = _SweepState(instance, counters)
     live_ids = np.arange(instance.num_elements)
-    # only a commit changes coverage, and every commit grows state.chosen, so
-    # the live ids are rescanned only when the number of chosen sets moved
-    scanned_at = 0
     for i in range(sched.k, -1, -1):
-        if len(state.chosen) != scanned_at:
-            scanned_at = len(state.chosen)
+        # live_ids holds every uncovered element, so equal counts mean
+        # nothing was covered since the last rescan
+        if live_ids.size != state.uncovered:
             live_ids = live_ids[~state.covered[live_ids]]
         n_live = live_ids.size
         if n_live == 0:
@@ -456,7 +449,7 @@ def verify_cover(instance: SetCoverInstance, cover: Cover) -> tuple[bool, int | 
     chosen = cover.chosen_sets
     for s in chosen:
         if not (0 <= s < instance.num_sets):
-            raise ValueError(f"set id {s} out of range")
+            raise InvalidConfig(f"set id {s} out of range")
     covered = bytearray(instance.num_elements)
     if len(chosen) >= _VECTOR_MIN:
         # one gather of the chosen rows, through a mask over the incidences

@@ -108,7 +108,7 @@ class SetCoverInstance(_ByValue):
         `InfeasibleInstance`."""
         edges = list(edges)
         if set(map(len, edges)) - {2}:
-            raise ValueError("edges must be (set id, element id) pairs")
+            raise InvalidConfig("edges must be (set id, element id) pairs")
         ids = _id_array(list(chain.from_iterable(edges)))
         return _build_instance(num_sets, num_elements, ids[0::2], ids[1::2],
                                edges.__getitem__)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import CostCounters
+from .errors import InvalidConfig
 from .instance import Hypergraph
 from .schedule import compute_b, schedule_for_max_size, step_groups
 
@@ -68,7 +69,7 @@ def verify_matching(hg: Hypergraph, matching: Matching) -> tuple[bool, int | Non
     use = Counter()
     for e in matching.edge_ids:
         if not (0 <= e < hg.num_edges):
-            raise ValueError(f"edge id {e} out of range")
+            raise InvalidConfig(f"edge id {e} out of range")
         for v in hg.edges[e]:
             use[v] += 1
     conflicts = sorted(v for v, n in use.items() if n > 1)

@@ -15,6 +15,7 @@ from .util import mean_ci95
 
 EXACT_COVER_LIMIT = 30
 EXACT_MATCHING_LIMIT = 25
+EXHAUSTIVE_LIMIT = 12
 
 
 def _bitmasks(rows) -> list[int]:
@@ -28,7 +29,7 @@ def _bitmasks(rows) -> list[int]:
     return masks
 
 
-def exact_min_cover(instance: SetCoverInstance, limit: int = EXACT_COVER_LIMIT) -> int:
+def exact_min_cover(instance: SetCoverInstance) -> int:
     """Exact optimum by branch and bound: branch on the uncovered element in
     the fewest sets, order candidate sets by residual coverage, and start from
     the greedy cover as the upper bound.
@@ -39,8 +40,8 @@ def exact_min_cover(instance: SetCoverInstance, limit: int = EXACT_COVER_LIMIT) 
     covered masks also prunes a node whose mask was already reached with at
     most as many sets.
     """
-    if instance.num_sets > limit:
-        raise TooLarge(f"{instance.num_sets} sets exceeds the exact limit {limit}")
+    if instance.num_sets > EXACT_COVER_LIMIT:
+        raise TooLarge(f"{instance.num_sets} sets exceeds the exact limit {EXACT_COVER_LIMIT}")
     if instance.num_elements == 0:
         return 0
     masks = _bitmasks(instance.set_rows[s] for s in range(instance.num_sets))
@@ -93,11 +94,11 @@ def exact_min_cover(instance: SetCoverInstance, limit: int = EXACT_COVER_LIMIT) 
     return best
 
 
-def exact_max_matching(hg: Hypergraph, limit: int = EXACT_MATCHING_LIMIT) -> int:
+def exact_max_matching(hg: Hypergraph) -> int:
     """Exact maximum matching size by exhaustive search with pruning, over
     bitmasks of each vertex's rank among those present (not its raw id)."""
-    if hg.num_edges > limit:
-        raise TooLarge(f"{hg.num_edges} edges exceeds the exact limit {limit}")
+    if hg.num_edges > EXACT_MATCHING_LIMIT:
+        raise TooLarge(f"{hg.num_edges} edges exceeds the exact limit {EXACT_MATCHING_LIMIT}")
     rank = {v: r for r, v in enumerate(sorted(set().union(*hg.edges)))}
     masks = _bitmasks([rank[v] for v in row] for row in hg.edges)
     n = len(masks)
@@ -141,7 +142,7 @@ def greedy_cover(instance: SetCoverInstance) -> Cover:
 def harmonic(d: int) -> float:
     """d-th harmonic number, sum of 1/i for i = 1..d."""
     if d < 1:
-        raise ValueError("harmonic number defined for d >= 1")
+        raise InvalidConfig("harmonic number defined for d >= 1")
     return sum(1.0 / i for i in range(1, d + 1))
 
 
@@ -210,11 +211,11 @@ def measure_ratio(solver, target, eps: float, trials: int,
                        bound=bound, passed=passed)
 
 
-def exhaustive_min_cover(instance: SetCoverInstance, limit: int = 12) -> int:
+def exhaustive_min_cover(instance: SetCoverInstance) -> int:
     """Brute-force optimum over all set subsets; cross-checks the branch and
     bound oracle on small instances."""
-    if instance.num_sets > limit:
-        raise TooLarge(f"{instance.num_sets} sets exceeds the exhaustive limit {limit}")
+    if instance.num_sets > EXHAUSTIVE_LIMIT:
+        raise TooLarge(f"{instance.num_sets} sets exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
     if instance.num_elements == 0:
         return 0
     masks = _bitmasks(instance.set_rows[s] for s in range(instance.num_sets))

@@ -77,7 +77,7 @@ def schedule_length_outer(delta: int, eps: float) -> int:
     """k = b * ceil(log_{1+eps}(delta/eps)); guarantees p(k) * delta <= eps."""
     _validate_eps(eps)
     if delta < 1:
-        raise ValueError("delta must be >= 1; empty instances short-circuit earlier")
+        raise InvalidConfig("delta must be >= 1; empty instances short-circuit earlier")
     b = compute_b(eps)
     try:
         ratio = delta / eps
@@ -93,9 +93,8 @@ def schedule_for_max_size(delta: int, eps: float) -> Schedule:
     return make_schedule(eps, schedule_length_outer(delta, eps))
 
 
-def schedule_for_frequency(freq: int, eps: float) -> Schedule:
-    """Same arithmetic with the element frequency in place of the set size."""
-    return make_schedule(eps, schedule_length_outer(freq, eps))
+# the same arithmetic with the element frequency in place of the set size
+schedule_for_frequency = schedule_for_max_size
 
 
 def bucket_distribution(sched: Schedule) -> np.ndarray:
@@ -125,12 +124,12 @@ def build_alias(weights) -> AliasTable:
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a nonempty 1-d sequence")
+        raise InvalidConfig("weights must be a nonempty 1-d sequence")
     if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+        raise InvalidConfig("weights must be nonnegative")
     total = float(w.sum())
     if total <= 0.0:
-        raise ValueError("weights must not all be zero")
+        raise InvalidConfig("weights must not all be zero")
     n = w.size
     scaled = w * (n / total)
     thresholds = np.ones(n, dtype=float)

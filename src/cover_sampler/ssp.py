@@ -387,9 +387,9 @@ def check_step_lemmas(sched: Schedule, sizes_desc: Sequence[int]) -> StepLemmaRe
     sizes = np.asarray(list(sizes_desc), dtype=np.int64)[::-1]
     k = sched.k
     if sizes.size != k + 1:
-        raise ValueError(f"need {k + 1} sizes, got {sizes.size}")
+        raise InvalidConfig(f"need {k + 1} sizes, got {sizes.size}")
     if np.any(np.diff(sizes) < 0):
-        raise ValueError("sizes must be non-increasing in simulation order")
+        raise InvalidConfig("sizes must be non-increasing in simulation order")
     if sizes[k] < 1:
         raise InvalidConfig("initial pool must be nonempty")
     if k < minimum_steps(int(sizes[k]), sched.eps):

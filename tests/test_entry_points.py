@@ -14,15 +14,17 @@ import tracemalloc
 
 import pytest
 
-from cover_sampler import (CoverSamplerError, DeleteSampledNeighbors, InvalidConfig,
-                           InvalidEpsilon, SspConfig, amplify_to_whp, cli,
+from cover_sampler import (Cover, CoverSamplerError, DeleteSampledNeighbors, InvalidConfig,
+                           InvalidEpsilon, Matching, SetCoverInstance, SspConfig,
+                           amplify_to_whp, build_alias, check_step_lemmas, cli,
                            estimate_conditional_multiplicity, estimate_expected_rz,
                            f_approx_bucketed, f_approx_online,
                            generate_random_hypergraph, generate_random_instance,
-                           hdelta_cover, hypergraph_matching, parse_hypergraph,
-                           parse_instance, plan_phases, run_ssp,
-                           serialize_hypergraph, serialize_instance,
-                           simulate_degree_estimation, simulate_mpc_f_approx)
+                           harmonic, hdelta_cover, hypergraph_matching, make_schedule,
+                           parse_hypergraph, parse_instance, plan_phases, run_ssp,
+                           schedule_length_outer, serialize_hypergraph,
+                           serialize_instance, simulate_degree_estimation,
+                           simulate_mpc_f_approx, verify_cover, verify_matching)
 from cover_sampler.mpc_sim import sparsify_non_isolated_counts
 from cover_sampler.ssp import MIN_TRIALS
 from cover_sampler.util import derive_rng
@@ -137,6 +139,18 @@ CONFIG_REFUSALS = {
     "amplify_to_whp copies": lambda: amplify_to_whp(
         f_approx_bucketed, parse_instance(FULL_SC), 0.25, 0),
     "DeleteSampledNeighbors rate": lambda: DeleteSampledNeighbors(1.5),
+    "verify_cover set id": lambda: verify_cover(parse_instance(FULL_SC), Cover((12,))),
+    "verify_matching edge id": lambda: verify_matching(
+        parse_hypergraph(FULL_HG), Matching((20,))),
+    "check_step_lemmas length": lambda: check_step_lemmas(make_schedule(0.25, 2), [3, 2]),
+    "check_step_lemmas order": lambda: check_step_lemmas(make_schedule(0.25, 2), [5, 1, 3]),
+    "harmonic d": lambda: harmonic(0),
+    "build_alias empty": lambda: build_alias([]),
+    "build_alias negative": lambda: build_alias([1.0, -1.0]),
+    "build_alias all zero": lambda: build_alias([0.0, 0.0]),
+    "schedule_length_outer size": lambda: schedule_length_outer(0, 0.25),
+    "SetCoverInstance.from_edges pair": lambda: SetCoverInstance.from_edges(
+        1, 1, [(0, 0, 0)]),
 }
 
 
