@@ -25,8 +25,11 @@ batches read.  Every commit then lowers the residuals of its newly covered
 elements' sets in one place: one gather of the element rows when the
 commit was large or covered many elements, else row by row.  The
 size-threshold solver reads the sizes of a large step group the same way,
-as arrays, noisy or exact, and files the sets a level drops by one sort;
-`step_groups` groups a large draw by one sort.  Every path charges the work
+as arrays, noisy or exact, and files the sets a level drops by one sort.
+`step_groups` hands a large draw out as one array partition
+(`schedule.StepPartition`), whose groups the bucketed solver and the
+size-threshold solver read as array slices; only a small group becomes a
+Python list.  Every path charges the work
 counters from the same row lengths and leaves the same state, so outputs
 and counters do not depend on the path.  Solvers are deterministic given
 their arguments and the rng seed.
@@ -306,6 +309,15 @@ class BatchRecord:
     cover_multiplicities: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=1024)
+def _size_level(eps: float, size: int) -> int:
+    """hdelta's level of an exact set size, floor(log_{1+eps} size),
+    guarded; math.log, as numpy's log can differ in the last bit.  Held
+    across calls, so a corpus of small solves at one eps pays each distinct
+    size once; the bound caps a process that solves at many eps."""
+    return guarded_floor(math.log(size) / math.log1p(eps))
+
+
 def hdelta_cover(instance: SetCoverInstance, eps: float,
                  rng: np.random.Generator, oracle_delta: float = 0.0,
                  batch_log: list[BatchRecord] | None = None
@@ -319,7 +331,8 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     first), the length of the residual list a scan would walk.  The estimate
     is the size itself, or with ``oracle_delta`` > 0 the size times a factor
     drawn from ``rng`` uniformly in [1, 1 + oracle_delta], one per visit of a
-    set with a nonzero residual, in group order.
+    set with a nonzero residual, in group order: one vector per step group,
+    which gives the same doubles as one draw per set.
     """
     compute_b(eps)  # rejects a bad eps even when there is no work
     if not (math.isfinite(oracle_delta) and oracle_delta >= 0):
@@ -340,9 +353,10 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     def level_of(e) -> int:
         # math.log: numpy's log can differ in the last bit
         return guarded_floor(math.log(e) / log_base)
-    # exact sizes take few distinct values; a noisy estimate rarely recurs
+    # exact sizes take few distinct values, so their levels are cached
+    # across solves; a noisy estimate rarely recurs
     if not noisy:
-        level_of = functools.cache(level_of)
+        level_of = functools.partial(_size_level, eps)
     levels: dict[int, list[int]] = defaultdict(list)
 
     def file_by_level(sets: np.ndarray, estimates: np.ndarray, cap: int) -> None:
@@ -378,18 +392,18 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         threshold = (1.0 + eps) ** j
         # meets_threshold's comparison, with its bound computed once
         guard = threshold * (1.0 - INTEGER_GUARD)
-        member_ids = np.array(members) if len(members) >= _VECTOR_MIN else None
         # every set this level drops goes to a lower one, read only after
         # this level ends, so a large level files them all after its last
         # group; a small one files each at once
+        defer = len(members) >= _VECTOR_MIN
         dropped, dropped_estimates = [], []
-        for i, group in step_groups(sched, rng, len(members)):
+        for i, group in step_groups(sched, rng, len(members), members):
             counters.steps_executed += 1
-            if member_ids is not None and len(group) >= _VECTOR_MIN:
+            if len(group) >= _VECTOR_MIN:
                 # a large group is read and tested with arrays, its noise
                 # drawn as one vector, which gives the same doubles as one
                 # draw per set
-                sets = member_ids[group]
+                sets = np.asarray(group)
                 sizes = state.residual[sets]
                 before = int(seen_view[sets].sum())
                 seen_view[sets] = sizes
@@ -404,24 +418,31 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
                 dropped_estimates += estimates[drop].tolist()
                 counters.rebucket_events += len(sets) - len(batch)
             else:
+                if isinstance(group, np.ndarray):
+                    group = group.tolist()
+                if noisy:
+                    # one vector over the sets with a nonzero residual, in
+                    # group order, the same doubles as one draw per set
+                    live = sum(1 for s in group if residual[s])
+                    factors = iter(rng.uniform(1.0, 1.0 + oracle_delta, live).tolist())
                 before = 0
                 batch, batch_sizes = [], []
-                for s in map(members.__getitem__, group):
+                for s in group:
                     before += seen[s]
                     size = seen[s] = residual[s]
                     if size == 0:
                         continue
-                    estimate = size * rng.uniform(1.0, 1.0 + oracle_delta) if noisy else size
+                    estimate = size * next(factors) if noisy else size
                     if estimate >= guard:
                         batch.append(s)
                         batch_sizes.append(size)
                     else:
                         counters.rebucket_events += 1
-                        if member_ids is None:
-                            levels[max(min(level_of(estimate), j - 1), 0)].append(s)
-                        else:
+                        if defer:
                             dropped.append(s)
                             dropped_estimates.append(estimate)
+                        else:
+                            levels[max(min(level_of(estimate), j - 1), 0)].append(s)
             counters.set_touches += len(group) + before
             counters.edge_touches += before
             if not batch:

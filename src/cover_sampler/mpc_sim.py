@@ -174,7 +174,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         return Cover(()), report
     sched = schedule_for_max_size(instance.delta, eps)
     p = probabilities(sched).tolist()
-    buckets = dict(step_groups(sched, rng, instance.num_elements))
+    groups = list(step_groups(sched, rng, instance.num_elements))
     plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
                        instance.num_sets + instance.num_elements)
     state = _SweepState(instance, report.counters)
@@ -184,12 +184,23 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     # so the whole-array scan is redone only when the number of chosen sets
     # moved since it last ran
     residual_scanned_at = -1
+    # the phases walk steps k..0 in turn and the groups fall by step, so a
+    # phase's groups run on from the last phase's
+    g = 0
     for idx, phase in enumerate(plan.phases):
         i_hi = phase.start_step
         i_lo = phase.start_step - phase.length + 1
         live_elements = state.uncovered
-        relevant = [t for i in range(i_lo, i_hi + 1) for t in buckets.get(i, ())
-                    if not state.covered_buf[t]]
+        first = g
+        while g < len(groups) and groups[g][0] >= i_lo:
+            g += 1
+        phase_groups = [group for _, group in groups[first:g]]
+        relevant = []
+        for group in phase_groups:
+            if isinstance(group, np.ndarray):
+                relevant += group[~state.covered[group]].tolist()
+            else:
+                relevant += [t for t in group if not state.covered_buf[t]]
         # relevant element u is node u; each set touching one, unchosen as
         # the element is uncovered, is the next node after them
         adj: list[list[int]] = [[] for _ in relevant]
@@ -202,10 +213,8 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
                 adj[u].append(set_node[s])
                 adj[set_node[s]].append(u)
         max_ball = _max_ball_size(adj, phase.length)
-        for i in range(i_hi, i_lo - 1, -1):
-            group = buckets.get(i)
-            if group:
-                state.sweep_step(group)
+        for group in phase_groups:
+            state.sweep_step(group)
         if len(state.chosen) != residual_scanned_at:
             residual_scanned_at = len(state.chosen)
             residual_after = int(state.residual.max(initial=0))

@@ -172,27 +172,51 @@ def alias_for_schedule(sched: Schedule) -> AliasTable:
 
 
 # Draw counts from which `step_groups` groups by one numpy sort rather than a
-# Python loop over the draws.  Below it the sort's fixed numpy calls cost more
-# than the loop (24 against 9 microseconds at 20 draws); at 512 draws the sort
-# takes 53-98 against 62-149 microseconds, and at 2e5 half the loop's time
-# (timed at k = 100, 288 and 820).
+# Python loop over the draws, and so hands out a `StepPartition`.  Below it
+# the sort's fixed numpy calls cost more than the loop (24 against 9
+# microseconds at 20 draws); at 512 draws the sort takes 53-98 against 62-149
+# microseconds, and at 2e5 half the loop's time (timed at k = 100, 288 and
+# 820).
 _GROUP_SORT_MIN = 512
 
 
-def step_groups(sched: Schedule, rng: np.random.Generator,
-                count: int) -> list[tuple[int, list[int]]]:
-    """Draw the first sampled step of each of ids 0..count-1 from the
-    schedule's alias table; ``(step, ids ascending)`` for each drawn step,
-    highest step first.
+@dataclass(frozen=True, eq=False)
+class StepPartition:
+    """A sorted step draw: group g drew step ``steps[g]`` and holds the ids
+    ``order[bounds[g]:bounds[g + 1]]``, in the order they were given, and
+    the steps fall from group to group.  Iterating gives ``(step, group)``
+    pairs, each group a slice of the one int64 array ``order``."""
 
-    Fewer than ``_GROUP_SORT_MIN`` draws are grouped in a dict; more are
-    ordered by one stable argsort on k - step (a ``uint16`` key, which numpy
-    radix-sorts, when k < 65536) and the one id list is sliced per step.
-    Both give the same groups from the same draws."""
+    order: np.ndarray
+    steps: list[int]
+    bounds: list[int]
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __iter__(self):
+        order, bounds = self.order, self.bounds
+        return ((step, order[a:b]) for step, a, b in zip(self.steps, bounds, bounds[1:]))
+
+
+def step_groups(sched: Schedule, rng: np.random.Generator, count: int,
+                ids: list[int] | None = None
+                ) -> list[tuple[int, list[int]]] | StepPartition:
+    """Draw the first sampled step of each of ``count`` items from the
+    schedule's alias table and group the items' ids, ``ids`` or 0..count-1,
+    by it: ``(step, ids in the given order)`` for each drawn step, highest
+    step first.
+
+    Fewer than ``_GROUP_SORT_MIN`` draws are grouped in a dict, into that
+    list of pairs; more are ordered by one stable argsort on k - step (a
+    ``uint16`` key, which numpy radix-sorts, when k < 65536) into a
+    `StepPartition`, whose groups are array slices.  Both give the same
+    groups from the same draws, so a caller that only iterates takes
+    either."""
     draws = sample_alias(alias_for_schedule(sched), rng, size=count)
     if count < _GROUP_SORT_MIN:
         groups: dict[int, list[int]] = defaultdict(list)
-        for t, step in enumerate(draws.tolist()):
+        for t, step in zip(range(count) if ids is None else ids, draws.tolist()):
             groups[step].append(t)
         return sorted(groups.items(), reverse=True)
     key = sched.k - draws
@@ -200,11 +224,6 @@ def step_groups(sched: Schedule, rng: np.random.Generator,
     ranked = draws[order]
     # draws are nonnegative, so the prepended -1 opens the first group
     starts = np.flatnonzero(np.diff(ranked, prepend=-1))
-    steps, bounds = ranked[starts].tolist(), starts.tolist() + [count]
-    # the arrays go before the id lists are built, so at 2e5 draws the peak
-    # stays below the dict loop's (9.2 against 10-16 MiB) instead of 5 MiB
-    # above it
-    del key, draws, ranked
-    ids = order.tolist()
-    del order
-    return [(step, ids[a:b]) for step, a, b in zip(steps, bounds, bounds[1:])]
+    if ids is not None:
+        order = np.array(ids, dtype=np.int64)[order]
+    return StepPartition(order, ranked[starts].tolist(), starts.tolist() + [count])

@@ -27,14 +27,17 @@ from cover_sampler.instance import (generate_random_hypergraph,
 TABLE = pathlib.Path(__file__).with_name("cli_digests.json")
 
 # 3000 elements, so the last steps take the engine's numpy path and the
-# early ones its Python path
+# early ones its Python path; 400 edges, so matching groups its draws in a
+# dict and sweeps in Python, and 2000, so it sorts them and sweeps arrays
 FILES = {
     "sc": lambda: serialize_instance(generate_random_instance(300, 3000, 3, seed=41)),
     "hg": lambda: serialize_hypergraph(
         generate_random_hypergraph(200, 400, 3, seed=42, min_size=1)),
+    "hg_large": lambda: serialize_hypergraph(
+        generate_random_hypergraph(1500, 2000, 3, seed=43, min_size=1)),
 }
 
-# name -> argv, where {sc} and {hg} stand for the files above
+# name -> argv, where {sc}, {hg} and {hg_large} stand for the files above
 CASES = {
     "solve-f-online": "solve {sc} --alg f-online --eps 0.25 --seed 3",
     "solve-f-bucketed": "solve {sc} --alg f-bucketed --eps 0.1 --seed 3",
@@ -48,6 +51,7 @@ CASES = {
     "solve-gen-sc": "solve --gen-sc 40:200:3 --alg f-online --eps 0.1 --seed 7",
     "solve-match": "solve {hg} --alg match --eps 0.1 --seed 3",
     "solve-match-target-eps": "solve {hg} --alg match --target-eps 0.3 --copies 2 --seed 8",
+    "solve-match-large": "solve {hg_large} --alg match --eps 0.05 --copies 2 --seed 10",
     "solve-bad-eps": "solve {sc} --alg hdelta --eps 0.75",
     "solve-bad-oracle-delta": "solve {sc} --alg hdelta --eps 0.1 --oracle-delta nan",
     "solve-calibrated-bad-eps": "solve {sc} --alg f-online --eps 0.9 --calibrated",

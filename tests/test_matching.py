@@ -1,7 +1,9 @@
 """Matching solver: validity, trivial structures, the star lower bound, the
 same-step-conflict structural property, equality with the per-visit reference
-in ``_reference.py``, and memory that follows the edges on a hostile vertex
-header."""
+in ``_reference.py`` on both sweeps (the step-draw crossover of
+``test_cover_equivalence.CROSSOVERS``: at its default, forced to the array
+sweep (0), forced to the Python sweep (huge) and set to 3), and memory
+that follows the edges on a hostile vertex header, on both sweeps."""
 
 import os
 import subprocess
@@ -14,11 +16,13 @@ import pytest
 from _reference import ref_matching
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_cover_equivalence import CROSSOVERS, crossover
 
 from cover_sampler import (Hypergraph, Matching, cli, exact_max_matching,
                            generate_random_hypergraph, hypergraph_matching,
                            parse_hypergraph, verify_matching)
 from cover_sampler.corpus import build_matching_corpus, build_sparsification_hypergraphs
+from cover_sampler.instance import generate_random_instance, to_hypergraph
 from cover_sampler.mpc_sim import sparsify_non_isolated_counts
 from cover_sampler.util import derive_rng, mean_ci95
 
@@ -101,11 +105,14 @@ def test_verify_matching_witness():
         verify_matching(hg, Matching((9,)))
 
 
-def assert_same_as_reference(hg, eps, *seed):
-    m, counters = hypergraph_matching(hg, eps, derive_rng(*seed))
+def assert_same_as_reference(hg, eps, *seed, modes=CROSSOVERS):
     ref_m, ref_counters = ref_matching(hg, eps, derive_rng(*seed))
-    assert m == ref_m
-    assert astuple(counters) == astuple(ref_counters)
+    for mode in modes:
+        with pytest.MonkeyPatch.context() as mp:
+            crossover(mp, mode)
+            m, counters = hypergraph_matching(hg, eps, derive_rng(*seed))
+        assert m == ref_m, mode
+        assert astuple(counters) == astuple(ref_counters), mode
 
 
 @st.composite
@@ -131,6 +138,26 @@ def test_matching_matches_reference_on_corpora(eps):
     for idx, hg in enumerate(build_matching_corpus() + build_sparsification_hypergraphs()):
         for seed in range(5):
             assert_same_as_reference(hg, eps, idx, seed)
+
+
+@pytest.mark.parametrize("eps", [0.01, 1 / 12, 0.25])
+def test_array_sweep_matches_reference_on_a_large_dual(eps):
+    # 20000 edges, so the default crossover sorts the draw and sweeps arrays
+    hg = to_hypergraph(generate_random_instance(2000, 20000, 3, seed=1))
+    for seed in range(2):
+        assert_same_as_reference(hg, eps, 9, seed, modes=("default",))
+
+
+def hostile_hypergraph_text(num_edges=600):
+    """``num_edges`` distinct edges of 2 or 3 vertices among the 300 ids
+    just below 1e10, under a header of 1e10 vertices."""
+    rng = derive_rng(13)
+    edges = set()
+    while len(edges) < num_edges:
+        size = int(rng.integers(2, 4))
+        edges.add(tuple(sorted(10 ** 10 - 1 - rng.choice(300, size, replace=False))))
+    lines = [" ".join(map(str, e)) for e in sorted(edges)]
+    return f"p hg {10 ** 10} {num_edges}\n" + "\n".join(lines) + "\n"
 
 
 def _refuse(*args, **kwargs):
@@ -162,3 +189,31 @@ def test_hostile_vertex_header_runs_in_bounded_memory(tmp_path, monkeypatch, cap
     assert code == 0
     assert "match" in capsys.readouterr().out
     assert peak < 4 * 2 ** 20
+
+
+def test_hostile_vertex_header_array_sweep_runs_in_bounded_memory(tmp_path, capsys):
+    # 600 edges, so matching sorts its draw and sweeps arrays; a dead array
+    # sized by the 1e10 header would need 10 GB
+    text = hostile_hypergraph_text()
+    path = tmp_path / "hostile.hg"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        hg = parse_hypergraph(text)
+        m, counters = hypergraph_matching(hg, 0.05, derive_rng(2))
+        valid = verify_matching(hg, m)
+        code = cli.main(["solve", str(path), "--alg", "match", "--eps", "0.05"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert valid == (True, None) and m.size > 0
+    assert code == 0
+    assert "match" in capsys.readouterr().out
+    assert peak < 4 * 2 ** 20
+    # the same edges over their ids ranked among themselves match alike
+    indptr, vertices = hg.edge_csr
+    ranks = np.unique(vertices, return_inverse=True)[1].tolist()
+    bounds = indptr.tolist()
+    compact = Hypergraph.from_edges(300, [ranks[a:b] for a, b in zip(bounds, bounds[1:])])
+    ref_m, ref_counters = ref_matching(compact, 0.05, derive_rng(2))
+    assert m == ref_m and astuple(counters) == astuple(ref_counters)

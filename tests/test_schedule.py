@@ -157,11 +157,17 @@ def test_alias_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+def as_lists(groups):
+    """``(step, ids)`` pairs with every group as a list of ints, whichever
+    form `step_groups` returned."""
+    return [(i, np.asarray(ids, dtype=np.int64).tolist()) for i, ids in groups]
+
+
 @pytest.mark.parametrize("count", [0, 1, 500, 5000])
 def test_step_groups_partition_one_alias_draw(count):
     sched = schedule_for_max_size(32, 0.25)
     rng, ref_rng = derive_rng(3), derive_rng(3)
-    groups = step_groups(sched, rng, count)
+    groups = as_lists(step_groups(sched, rng, count))
     draws = sample_alias(alias_for_schedule(sched), ref_rng, size=count)
     # the same stream, consumed to the same point
     assert rng.random() == ref_rng.random()
@@ -188,9 +194,20 @@ def test_step_groups_sort_and_dict_paths_agree(monkeypatch, sched):
             monkeypatch.setattr(schedule, "_GROUP_SORT_MIN", crossover)
             rng = derive_rng(11, count)
             got[name] = (step_groups(sched, rng, count), rng.random())
-        assert got["sort"] == got["dict"], count
-        groups = got["sort"][0]
-        assert all(type(i) is int and type(ids[0]) is int for i, ids in groups)
+        assert isinstance(got["sort"][0], schedule.StepPartition)
+        assert isinstance(got["dict"][0], list)
+        assert (as_lists(got["sort"][0]), got["sort"][1]) == got["dict"], count
+        assert len(got["sort"][0]) == len(got["dict"][0])
+
+
+@pytest.mark.parametrize("count", [0, 5, schedule._GROUP_SORT_MIN, 3000])
+def test_step_groups_relabel_given_ids(count):
+    # the ids come back in the groups of their positions, in the given order
+    sched = schedule_for_max_size(54, 0.05)
+    ids = [7 * t + 3 for t in range(count)][::-1]
+    plain = as_lists(step_groups(sched, derive_rng(12), count))
+    labelled = as_lists(step_groups(sched, derive_rng(12), count, ids))
+    assert labelled == [(i, [ids[t] for t in group]) for i, group in plain]
 
 
 def test_outer_length_rejects_size_beyond_float_range():
