@@ -201,18 +201,20 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
                 relevant += group[~state.covered[group]].tolist()
             else:
                 relevant += [t for t in group if not state.covered_buf[t]]
-        # relevant element u is node u; each set touching one, unchosen as
-        # the element is uncovered, is the next node after them
-        adj: list[list[int]] = [[] for _ in relevant]
         set_node: dict[int, int] = {}
-        for u, t in enumerate(relevant):
-            for s in element_rows[t]:
-                if s not in set_node:
-                    set_node[s] = len(adj)
-                    adj.append([])
-                adj[u].append(set_node[s])
-                adj[set_node[s]].append(u)
-        max_ball = _max_ball_size(adj, phase.length)
+        max_ball = 0
+        if relevant:
+            # relevant element u is node u; each set touching one, unchosen
+            # as the element is uncovered, is the next node after them
+            adj: list[list[int]] = [[] for _ in relevant]
+            for u, t in enumerate(relevant):
+                for s in element_rows[t]:
+                    if s not in set_node:
+                        set_node[s] = len(adj)
+                        adj.append([])
+                    adj[u].append(set_node[s])
+                    adj[set_node[s]].append(u)
+            max_ball = _max_ball_size(adj, phase.length)
         for group in phase_groups:
             state.sweep_step(group)
         if len(state.chosen) != residual_scanned_at:
@@ -288,9 +290,10 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
 
     The pools are the first (k+1) x T doubles of ``rng``'s stream, row i
     before row i+1, and the sampling coins follow them.  Row i is drawn only
-    when step i runs, from a copy of the bit generator advanced by i*T, and
-    none is drawn at q = 1, where every row is all True; ``rng`` itself is
-    advanced past the pools.  This needs a bit generator whose ``advance``
+    when step i runs, from a copy of the bit generator advanced by i*T.  At
+    q = 1 every row is all True, so none is drawn: the estimates are the
+    commit engine's residuals, re-read only after a commit.  ``rng`` itself
+    is advanced past the pools.  This needs a bit generator whose ``advance``
     skips doubles, PCG64 or PCG64DXSM (``derive_rng`` gives PCG64); any other
     is refused with `InvalidConfig` and left untouched.  The pass stops at the
     first step with no eligible set: estimates only fall and chosen sets stay
@@ -331,16 +334,25 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
         return draw.random(num_elements) < q
 
     state = _SweepState(instance, CostCounters())
-    # the incidences of still uncovered elements, dropped as they get covered
-    edge_sets = np.repeat(np.arange(instance.num_sets), state.residual)
-    edge_elems = instance.set_csr[1]
-    estimates = np.full(instance.num_sets, np.inf)
+    if q < 1.0:
+        # the incidences of still uncovered elements, dropped as they get covered
+        edge_sets = np.repeat(np.arange(instance.num_sets), state.residual)
+        edge_elems = instance.set_csr[1]
+        estimates = np.full(instance.num_sets, np.inf)
+    ids = None  # the eligible sets, None once the estimates may have moved
     for i in range(sched.k, -1, -1):
-        hit = edge_sets if q == 1.0 else edge_sets[pool(i)[edge_elems]]
-        counts = np.bincount(hit, minlength=instance.num_sets)
-        estimates = np.minimum(estimates, counts / q)
-        # a chosen set counts no uncovered element, so its estimate is 0
-        ids = np.flatnonzero(meets_threshold(estimates, threshold))
+        if q < 1.0:
+            counts = np.bincount(edge_sets[pool(i)[edge_elems]],
+                                 minlength=instance.num_sets)
+            estimates, ids = np.minimum(estimates, counts / q), None
+        elif ids is None:
+            # every pool is all True, so a set's count is its residual: that
+            # never rises, so it is the running minimum too, and only a
+            # commit moves it
+            estimates = state.residual.astype(np.float64)
+        if ids is None:
+            # a chosen set counts no uncovered element, so its estimate is 0
+            ids = np.flatnonzero(meets_threshold(estimates, threshold))
         if ids.size == 0:
             break
         sampled = ids[rng.random(ids.size) < p[i]]
@@ -351,8 +363,10 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
             estimates=tuple(estimates[sampled].tolist()),
             true_sizes=tuple(state.residual[sampled].tolist())))
         state.commit(sampled)
-        live = ~state.covered[edge_elems]
-        edge_sets, edge_elems = edge_sets[live], edge_elems[live]
+        ids = None
+        if q < 1.0:
+            live = ~state.covered[edge_elems]
+            edge_sets, edge_elems = edge_sets[live], edge_elems[live]
     return trace
 
 

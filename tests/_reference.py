@@ -1,24 +1,27 @@
 """The per-incidence Python implementations the solvers, matching, the phase
 simulator and the degree-estimation pass replaced, kept as references: each
 walks every incidence and charges every counter one visit at a time.  Also
-the step loop that `bucket_distribution` replaced and the planner whose
-no-compression zone was found by a loop over every step.  They read tuple
-rows cut whole from the CSR arrays by `csr_rows`, not the instance's row
-caches."""
+the step loop that `bucket_distribution` replaced, the planner whose
+no-compression zone was found by a loop over every step, and neighbourhood
+balls from scipy's shortest paths in place of the bit-parallel BFS.  They
+read tuple rows cut whole from the CSR arrays by `csr_rows`, not the
+instance's row caches, and group their draws with `ref_buckets`, not
+`step_groups`, so none shares a planner, a ball or a grouping with the code
+it checks."""
 
 import math
 from collections import Counter, defaultdict
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from cover_sampler.cover import BatchRecord, Cover, CostCounters
 from cover_sampler.matching import Matching
 from cover_sampler.mpc_sim import (CASE1_EXPONENT_SCALE, TAU_CONSTANT, DegreeBatch,
-                                   MpcReport, PhasePlan, PhaseRecord, PlannedPhase,
-                                   _max_ball_size, plan_phases)
+                                   MpcReport, PhasePlan, PhaseRecord, PlannedPhase)
 from cover_sampler.schedule import (alias_for_schedule, probabilities, sample_alias,
-                                    schedule_for_frequency, schedule_for_max_size,
-                                    step_groups)
+                                    schedule_for_frequency, schedule_for_max_size)
 from cover_sampler.util import guarded_floor, meets_threshold
 
 
@@ -182,8 +185,8 @@ def ref_mpc(instance, eps, rng):
     p = probabilities(sched)
     buckets = ref_buckets(sample_alias(alias_for_schedule(sched), rng,
                                        size=instance.num_elements))
-    plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
-                       instance.num_sets + instance.num_elements)
+    plan = ref_plan_phases(instance.delta, max(instance.freq, 1), eps,
+                           instance.num_sets + instance.num_elements)
     state = RefState(instance, report.counters)
     rounds = 0
     for idx, phase in enumerate(plan.phases):
@@ -202,7 +205,7 @@ def ref_mpc(instance, eps, rng):
                         adj.append([])
                     adj[u].append(set_node[s])
                     adj[set_node[s]].append(u)
-        max_ball = _max_ball_size(adj, phase.length)
+        max_ball = ref_max_ball(adj, phase.length)
         for i in range(i_hi, i_lo - 1, -1):
             if buckets.get(i):
                 state.sweep_step(buckets[i])
@@ -269,12 +272,13 @@ def ref_matching(hg, eps, rng):
         return Matching(()), counters
     sched = schedule_for_max_size(hg.max_vertex_degree(), eps)
 
+    buckets = ref_buckets(sample_alias(alias_for_schedule(sched), rng, size=num_edges))
     vertex_dead = np.zeros(hg.num_vertices, dtype=bool)
     collected: list[int] = []
-    for _, group in step_groups(sched, rng, num_edges):
+    for i in sorted(buckets, reverse=True):
         counters.steps_executed += 1
         batch = []
-        for e in group:
+        for e in buckets[i]:
             counters.edge_touches += len(hg.edges[e])
             if not any(vertex_dead[v] for v in hg.edges[e]):
                 batch.append(e)
@@ -287,6 +291,22 @@ def ref_matching(hg, eps, rng):
     vertex_use = Counter(v for e in collected for v in hg.edges[e])
     kept = [e for e in collected if all(vertex_use[v] == 1 for v in hg.edges[e])]
     return Matching(tuple(sorted(kept))), counters
+
+
+def ref_max_ball(adj, radius):
+    """Largest number of nodes within ``radius`` hops of any node of the
+    undirected graph ``adj``, from scipy's shortest paths, taken from a
+    block of sources at a time so the distances stay small."""
+    n = len(adj)
+    if n == 0:
+        return 0
+    rows = [v for v, nbrs in enumerate(adj) for _ in nbrs]
+    cols = [w for nbrs in adj for w in nbrs]
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return max(int((shortest_path(graph, directed=False, unweighted=True,
+                                  indices=np.arange(lo, min(n, lo + 256))) <= radius)
+                   .sum(axis=1).max())
+               for lo in range(0, n, 256))
 
 
 def ref_plan_phases(delta, freq, eps, n):

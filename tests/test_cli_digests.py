@@ -20,7 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from cover_sampler import cli
-from cover_sampler.instance import (generate_random_hypergraph,
+from cover_sampler.instance import (SetCoverInstance, generate_random_hypergraph,
                                     generate_random_instance,
                                     serialize_hypergraph, serialize_instance)
 
@@ -28,16 +28,20 @@ TABLE = pathlib.Path(__file__).with_name("cli_digests.json")
 
 # 3000 elements, so the last steps take the engine's numpy path and the
 # early ones its Python path; 400 edges, so matching groups its draws in a
-# dict and sweeps in Python, and 2000, so it sorts them and sweeps arrays
+# dict and sweeps in Python, and 2000, so it sorts them and sweeps arrays;
+# two sets halving 20000 elements, so degree estimation samples below rate 1
 FILES = {
     "sc": lambda: serialize_instance(generate_random_instance(300, 3000, 3, seed=41)),
     "hg": lambda: serialize_hypergraph(
         generate_random_hypergraph(200, 400, 3, seed=42, min_size=1)),
     "hg_large": lambda: serialize_hypergraph(
         generate_random_hypergraph(1500, 2000, 3, seed=43, min_size=1)),
+    "halves": lambda: serialize_instance(SetCoverInstance.from_edges(
+        2, 20000, [(t % 2, t) for t in range(20000)])),
 }
 
-# name -> argv, where {sc}, {hg} and {hg_large} stand for the files above
+# name -> argv, where {sc}, {hg}, {hg_large} and {halves} stand for the
+# files above
 CASES = {
     "solve-f-online": "solve {sc} --alg f-online --eps 0.25 --seed 3",
     "solve-f-bucketed": "solve {sc} --alg f-bucketed --eps 0.1 --seed 3",
@@ -58,6 +62,7 @@ CASES = {
     "mpc-phase-sim": "mpc {sc} --eps 0.25 --seed 3",
     "mpc-phase-sim-small-eps": "mpc {sc} --eps 0.05 --seed 9 --format json",
     "mpc-hdelta-inner": "mpc {sc} --alg hdelta-inner --eps 0.25 --j 1 --seed 3",
+    "mpc-hdelta-inner-sampled": "mpc {halves} --alg hdelta-inner --eps 0.5 --j 22 --seed 3",
     "mpc-phase-sim-rejects-j": "mpc {sc} --eps 0.25 --j 3",
     "mpc-delta-sweep": "mpc --delta-sweep 2:20:6 --eps 0.25 --f 3 --n 100000",
     "mpc-delta-sweep-small-eps": "mpc --delta-sweep 3:3:1 --eps 0.01",

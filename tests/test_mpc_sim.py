@@ -6,9 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _reference import ref_degree_estimation, ref_plan_phases
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from _reference import ref_degree_estimation, ref_max_ball, ref_plan_phases
 
 from cover_sampler import mpc_sim
 from cover_sampler import (InvalidConfig, InvalidEpsilon, f_approx_bucketed,
@@ -20,7 +18,7 @@ from cover_sampler.instance import Hypergraph, SetCoverInstance
 from cover_sampler.mpc_sim import (DegreeBatch, amplify_to_whp,
                                   sparsify_non_isolated_counts)
 from cover_sampler.oracle import exact_min_cover
-from cover_sampler.util import derive_rng, mean_ci95
+from cover_sampler.util import derive_rng, guarded_floor, mean_ci95
 
 
 def test_plan_lengths_partition_schedule():
@@ -120,15 +118,6 @@ def test_phase_report_shape():
         assert rec.max_ball >= 0
 
 
-def _reference_max_ball(adj, radius):
-    n = len(adj)
-    rows = [v for v, nbrs in enumerate(adj) for _ in nbrs]
-    cols = [w for nbrs in adj for w in nbrs]
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    dist = shortest_path(graph, directed=False, unweighted=True)
-    return int((dist <= radius).sum(axis=1).max())
-
-
 def _random_graph(rng):
     n = int(rng.integers(1, 40))
     density = rng.choice([0.0, 0.02, 0.05, 0.1, 0.3])
@@ -152,7 +141,7 @@ def test_max_ball_matches_shortest_path_reference(monkeypatch, block):
         adj = _random_graph(rng)
         # radius 1, a middle radius, and one at least the diameter
         radius = (1, int(rng.integers(2, 6)), len(adj))[trial % 3]
-        assert mpc_sim._max_ball_size(adj, radius) == _reference_max_ball(adj, radius)
+        assert mpc_sim._max_ball_size(adj, radius) == ref_max_ball(adj, radius)
 
 
 def test_phase_records_seeded_values_pinned():
@@ -328,7 +317,8 @@ def _halves(num_elements):
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
 def test_degree_estimation_pools_match_the_upfront_fill(bit_generator):
-    # each pool row is drawn when its step runs (or none at q = 1) and the
+    # each pool row is drawn when its step runs (or none at q = 1, where the
+    # estimates are re-read from the residuals only after a commit) and the
     # pass stops early, yet the batches are the upfront-fill reference's and
     # the caller's generator ends where the reference leaves it.  A buffered
     # 32-bit half from an earlier int32 draw must survive.
@@ -336,6 +326,11 @@ def test_degree_estimation_pools_match_the_upfront_fill(bit_generator):
     cases = [(generate_random_instance(12, 80, 3, seed=s), 0.25, level)
              for s in range(2) for level in (0, 2)]
     cases += [(halves, 0.5, level) for level in (0, 21, 22)]
+    # q = 1 at a level near half its cap (38 or 39): dozens of commits with
+    # commit-free steps between them
+    large = [(generate_random_instance(200, 2000, 3, seed=s), 0.05) for s in range(2)]
+    cases += [(inst, eps, guarded_floor(math.log(inst.delta) / math.log1p(eps)) // 2)
+              for inst, eps in large]
     q_values = []
     for seed, (inst, eps, level) in enumerate(cases):
         ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
@@ -345,7 +340,14 @@ def test_degree_estimation_pools_match_the_upfront_fill(bit_generator):
         batches, _ = ref_degree_estimation(inst, eps, level, theirs)
         assert trace.batches == batches
         assert _same_state(ours.bit_generator.state, theirs.bit_generator.state)
+        # equal batches would not tell 10 from 10.0
+        assert all(type(e) is float for b in trace.batches for e in b.estimates)
         q_values.append(trace.q)
+        if eps == 0.05:
+            # at least 20 commits and 20 commit-free steps between them
+            span = trace.batches[0].step - trace.batches[-1].step + 1
+            assert trace.q == 1.0 and len(trace.batches) >= 20
+            assert span - len(trace.batches) >= 20
     assert min(q_values) < 0.6 and max(q_values) == 1.0
 
 
