@@ -309,13 +309,16 @@ class BatchRecord:
     cover_multiplicities: tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=1024)
-def _size_level(eps: float, size: int) -> int:
-    """hdelta's level of an exact set size, floor(log_{1+eps} size),
-    guarded; math.log, as numpy's log can differ in the last bit.  Held
-    across calls, so a corpus of small solves at one eps pays each distinct
-    size once; the bound caps a process that solves at many eps."""
-    return guarded_floor(math.log(size) / math.log1p(eps))
+def _level(eps: float, x: float) -> int:
+    """The size level of ``x`` >= 1, floor(log_{1+eps} x), guarded;
+    math.log, as numpy's log can differ in the last bit."""
+    return guarded_floor(math.log(x) / math.log1p(eps))
+
+
+# hdelta's level of an exact set size.  Held across calls, so a corpus of
+# small solves at one eps pays each distinct size once; the bound caps a
+# process that solves at many eps.
+_size_level = functools.lru_cache(maxsize=1024)(_level)
 
 
 def hdelta_cover(instance: SetCoverInstance, eps: float,
@@ -342,7 +345,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         return Cover(()), counters
     sched = schedule_for_frequency(instance.freq, eps)
     log_base = math.log1p(eps)
-    level_cap = guarded_floor(math.log(instance.delta) / log_base)
+    level_cap = _level(eps, instance.delta)
     noisy = oracle_delta > 0
 
     state = _SweepState(instance, counters)
@@ -350,13 +353,9 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     seen = array("q", residual)
     seen_view = np.frombuffer(seen, dtype=np.int64)
 
-    def level_of(e) -> int:
-        # math.log: numpy's log can differ in the last bit
-        return guarded_floor(math.log(e) / log_base)
     # exact sizes take few distinct values, so their levels are cached
     # across solves; a noisy estimate rarely recurs
-    if not noisy:
-        level_of = functools.partial(_size_level, eps)
+    level_of = functools.partial(_level if noisy else _size_level, eps)
     levels: dict[int, list[int]] = defaultdict(list)
 
     def file_by_level(sets: np.ndarray, estimates: np.ndarray, cap: int) -> None:

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cover import Cover, CostCounters, _SweepState
+from .cover import Cover, CostCounters, _gather, _level, _SweepState
 from .errors import InvalidConfig
 from .instance import Hypergraph, SetCoverInstance
 from .schedule import (compute_b, probabilities, schedule_for_frequency,
                        schedule_for_max_size, step_groups)
-from .util import derive_rng, guarded_floor, meets_threshold
+from .util import derive_rng, meets_threshold
 
 
 # Planner constants.  The theory fixes neither; they are tuned so desk-scale
@@ -195,12 +195,9 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         while g < len(groups) and groups[g][0] >= i_lo:
             g += 1
         phase_groups = [group for _, group in groups[first:g]]
-        relevant = []
-        for group in phase_groups:
-            if isinstance(group, np.ndarray):
-                relevant += group[~state.covered[group]].tolist()
-            else:
-                relevant += [t for t in group if not state.covered_buf[t]]
+        drawn = (np.concatenate(phase_groups) if phase_groups
+                 else np.empty(0, np.int64))
+        relevant = drawn[~state.covered[drawn]].tolist()
         set_node: dict[int, int] = {}
         max_ball = 0
         if relevant:
@@ -290,9 +287,11 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
 
     The pools are the first (k+1) x T doubles of ``rng``'s stream, row i
     before row i+1, and the sampling coins follow them.  Row i is drawn only
-    when step i runs, from a copy of the bit generator advanced by i*T.  At
-    q = 1 every row is all True, so none is drawn: the estimates are the
-    commit engine's residuals, re-read only after a commit.  ``rng`` itself
+    when step i runs, from a copy of the bit generator advanced by i*T, and
+    the step counts each set's pooled uncovered elements through the commit
+    engine's element rows.  One running-minimum rule serves every rate: at
+    q = 1 every row is all True, so none is drawn and the counts are the
+    engine's residuals, re-read only after a commit.  ``rng`` itself
     is advanced past the pools.  This needs a bit generator whose ``advance``
     skips doubles, PCG64 or PCG64DXSM (``derive_rng`` gives PCG64); any other
     is refused with `InvalidConfig` and left untouched.  The pass stops at the
@@ -305,8 +304,7 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
     if type(bitgen) not in _ADVANCE_BY_DOUBLES:
         raise InvalidConfig("degree estimation needs a PCG64 or PCG64DXSM bit "
                             f"generator, got {type(bitgen).__name__}")
-    log_base = math.log1p(eps)
-    level_cap = guarded_floor(math.log(max(instance.delta, 1)) / log_base)
+    level_cap = _level(eps, max(instance.delta, 1))
     if not (0 <= level <= level_cap):
         raise InvalidConfig(f"level must lie in [0, {level_cap}]")
     sched = schedule_for_frequency(max(instance.freq, 1), eps)
@@ -334,23 +332,16 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
         return draw.random(num_elements) < q
 
     state = _SweepState(instance, CostCounters())
-    if q < 1.0:
-        # the incidences of still uncovered elements, dropped as they get covered
-        edge_sets = np.repeat(np.arange(instance.num_sets), state.residual)
-        edge_elems = instance.set_csr[1]
-        estimates = np.full(instance.num_sets, np.inf)
-    ids = None  # the eligible sets, None once the estimates may have moved
+    estimates = np.full(instance.num_sets, np.inf)
+    ids = None  # the eligible sets, None once a commit may have moved the counts
     for i in range(sched.k, -1, -1):
-        if q < 1.0:
-            counts = np.bincount(edge_sets[pool(i)[edge_elems]],
-                                 minlength=instance.num_sets)
-            estimates, ids = np.minimum(estimates, counts / q), None
-        elif ids is None:
-            # every pool is all True, so a set's count is its residual: that
-            # never rises, so it is the running minimum too, and only a
-            # commit moves it
-            estimates = state.residual.astype(np.float64)
-        if ids is None:
+        if q < 1.0 or ids is None:
+            # at q = 1 every pool is all True, so the counts are the
+            # residuals: they never rise, and only a commit moves them
+            counts = (state.residual if q == 1.0 else np.bincount(
+                _gather(instance.element_csr, np.flatnonzero(pool(i) & ~state.covered)),
+                minlength=instance.num_sets))
+            estimates = np.minimum(estimates, counts / q)
             # a chosen set counts no uncovered element, so its estimate is 0
             ids = np.flatnonzero(meets_threshold(estimates, threshold))
         if ids.size == 0:
@@ -364,9 +355,6 @@ def simulate_degree_estimation(instance: SetCoverInstance, eps: float,
             true_sizes=tuple(state.residual[sampled].tolist())))
         state.commit(sampled)
         ids = None
-        if q < 1.0:
-            live = ~state.covered[edge_elems]
-            edge_sets, edge_elems = edge_sets[live], edge_elems[live]
     return trace
 
 

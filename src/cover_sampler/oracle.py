@@ -186,7 +186,9 @@ def measure_ratio(solver, target, eps: float, trials: int,
     and compare the solution-size/optimum ratios against ``bound``.
 
     The optimum comes from the exact oracle matching ``target``'s type unless
-    supplied.  A zero-size solution contributes ratio 0 (never divides).
+    supplied.  A trial's ratio is its solution size over the optimum, so a
+    zero-size solution contributes 0; an optimum of 0 never divides, and
+    every trial then counts ratio 1.
     Trials run in the calling thread; ``workers`` must be 1.  Fewer than one
     trial raises `InvalidConfig` before the oracle runs.
     """

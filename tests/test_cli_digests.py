@@ -7,6 +7,9 @@ check row keeps every digest.  A change that alters a law on purpose
 re-records the table and says why:
 
     PYTHONPATH=src python tests/test_cli_digests.py
+
+which names each case whose digest differs from the table it replaces, or
+says that all of them are unchanged.
 """
 
 import hashlib
@@ -104,5 +107,10 @@ def test_table_names_every_case():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = run_cases(pathlib.Path(tmp))
+    committed = json.loads(TABLE.read_text())
+    changed = sorted(name for name in table.keys() | committed.keys()
+                     if table.get(name) != committed.get(name))
     TABLE.write_text(json.dumps(table, indent=2) + "\n")
     sys.stdout.write(f"wrote {len(table)} digests to {TABLE}\n")
+    sys.stdout.write("".join(f"changed: {name}\n" for name in changed)
+                     or f"all {len(table)} unchanged\n")

@@ -326,6 +326,11 @@ def test_degree_estimation_pools_match_the_upfront_fill(bit_generator):
     cases = [(generate_random_instance(12, 80, 3, seed=s), 0.25, level)
              for s in range(2) for level in (0, 2)]
     cases += [(halves, 0.5, level) for level in (0, 21, 22)]
+    # sampled rates on wide instances, one with every element in two sets,
+    # so that a commit covers elements other sets still count
+    cases += [(generate_random_instance(12, 60000, 1, seed=1), 0.5, 21)]
+    cases += [(generate_random_instance(16, 60000, 2, seed=1), 0.5, level)
+              for level in (21, 22)]
     # q = 1 at a level near half its cap (38 or 39): dozens of commits with
     # commit-free steps between them
     large = [(generate_random_instance(200, 2000, 3, seed=s), 0.05) for s in range(2)]

@@ -167,6 +167,12 @@ def test_measure_ratio_deterministic_optimal():
     assert report.mean_ratio == 1.0
     assert report.opt == 1
     assert report.passed
+    # an optimum of 0 is not divided by: every trial counts ratio 1
+    empty = SetCoverInstance.from_edges(1, 0, [])
+    report = measure_ratio(lambda t, e, r: f_approx_bucketed(t, e, r),
+                           empty, 0.25, 5, derive_rng(1), bound=1.0)
+    assert (report.opt, report.mean_ratio, report.ci95) == (0, 1.0, 0.0)
+    assert report.passed
 
 
 def test_measure_ratio_frequency_one_always_exact():
