@@ -23,7 +23,8 @@ Each set-cover side has one tuple-row reader, a `RowCache`, which cuts a row
 from the arrays on its first read and keeps it; the solvers, the verifier,
 the phase simulator and the exact oracles all read it, so a row is cut at
 most once.  A hypergraph's ``edges`` is a whole view, cut with one
-``tolist()`` on first read and cached, since matching reads every edge.
+``tolist()`` on first read and cached; only matching's small path reads it.
+Every array indexed by vertex is sized by its cached ``vertex_index``.
 """
 
 from __future__ import annotations
@@ -261,10 +262,19 @@ class Hypergraph(_ByValue):
         sizes = np.array([len(e) for e in edges], dtype=np.int64)
         return _build_hypergraph(num_vertices, ids, sizes, edges.__getitem__)
 
+    @cached_property
+    def vertex_index(self) -> np.ndarray:
+        """Per incidence, its vertex id when the header is at most the
+        incidence count, else the vertex's rank among those present: either
+        way below min(num_vertices, incidences), so memory follows the edges."""
+        vertices = self.edge_csr[1]
+        if self.num_vertices <= vertices.size:
+            return vertices
+        return np.unique(vertices, return_inverse=True)[1]
+
     def max_vertex_degree(self) -> int:
-        """Largest vertex degree, counted in O(incidences) memory even when
-        the vertex count is far larger."""
-        return int(np.unique(self.edge_csr[1], return_counts=True)[1].max(initial=0))
+        """Largest vertex degree, counted in O(incidences) memory."""
+        return int(np.bincount(self.vertex_index).max(initial=0))
 
 
 def _build_hypergraph(num_vertices: int, ids: np.ndarray, sizes: np.ndarray,
@@ -312,29 +322,27 @@ _LETTERS_AS_SPACES = bytes.maketrans(b"pschge", b"      ")
 _MAX_ID_DIGITS = 18
 
 
-def parse_text(text) -> SetCoverInstance | Hypergraph:
+def parse_text(text: str) -> SetCoverInstance | Hypergraph:
     """Parse either format, chosen by the kind its header names."""
     return _parse(text, ("sc", "hg"))
 
 
-def parse_instance(text) -> SetCoverInstance:
-    """Parse the ``p sc`` format from a string or an iterable of lines."""
+def parse_instance(text: str) -> SetCoverInstance:
+    """Parse the ``p sc`` format."""
     return _parse(text, ("sc",))
 
 
-def parse_hypergraph(text) -> Hypergraph:
+def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the ``p hg`` format.  A blank line in the edge section is an
     empty edge and is rejected."""
     return _parse(text, ("hg",))
 
 
-def _parse(text, kinds: tuple[str, ...]) -> SetCoverInstance | Hypergraph:
+def _parse(text: str, kinds: tuple[str, ...]) -> SetCoverInstance | Hypergraph:
     """Parse ``text`` in the format of one of ``kinds``.  A text laid out
     exactly as a serializer writes it is read as bytes, any other by lines;
     both readers hand the same id columns to the same checks, so the result
     or error does not depend on the reader."""
-    if not isinstance(text, str):
-        text = "\n".join(str(line).rstrip("\n") for line in text)
     kind, fields, columns = _read_layout(text, kinds) or _read_lines(text, kinds)
     if kind == "hg":
         return _build_hypergraph(fields[0], *columns)

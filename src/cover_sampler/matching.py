@@ -15,8 +15,7 @@ vertices in a set.  A sorted one, a `StepPartition`, is swept as arrays: one
 gather of every edge's vertex ids in draw order, then per step one slice of
 it, a dead-vertex test reduced per edge and the marking of the collected
 edges' vertices; one ``bincount`` over the collected edges' vertices finds
-the conflicts.  Its dead-vertex array is sized by the vertex ids present, ranked among
-themselves when the header names more vertices than there are incidences, so
+the conflicts.  Its dead-vertex array is indexed by ``hg.vertex_index``, so
 on either path memory follows the edges, not the vertex count.  Both paths
 collect the same edges.  Every edge is tested once, so ``edge_touches`` is
 the incidence count; ``element_touches`` counts the collected edges'
@@ -82,11 +81,8 @@ def _set_sweep(edges, groups: list[tuple[int, list[int]]]) -> tuple[list[int], i
 def _array_sweep(hg: Hypergraph, partition: StepPartition) -> tuple[list[int], int]:
     """`_set_sweep` over a sorted partition, as one array pass."""
     order, bounds = partition.order, partition.bounds
-    indptr, vertices = hg.edge_csr
-    flat = _gather(hg.edge_csr, order)
-    if hg.num_vertices > vertices.size:
-        # ranks among the vertices present, so no array is sized by the header
-        flat = np.unique(flat, return_inverse=True)[1]
+    indptr = hg.edge_csr[0]
+    flat = _gather((indptr, hg.vertex_index), order)
     sizes = np.diff(indptr)
     lengths = sizes[order]
     # edge t of the order starts at flat[edge_at[t]], and at local[t] in

@@ -238,16 +238,13 @@ def sparsify_non_isolated_counts(hg: Hypergraph, p: float, trials: int,
     num_edges = hg.num_edges
     if num_edges == 0:
         return np.zeros(trials, dtype=np.int64)
-    indptr, vertices = hg.edge_csr
-    edge_of = np.repeat(np.arange(num_edges), np.diff(indptr))
-    # ranks among the vertices present, so no count is sized by the header
-    compact = np.unique(vertices, return_inverse=True)[1]
+    edge_of = np.repeat(np.arange(num_edges), np.diff(hg.edge_csr[0]))
     counts = np.empty(trials, dtype=np.int64)
     # one row per trial draws the same stream as one trials x E draw, in
     # memory that does not grow with the trial count
     for r in range(trials):
         kept = rng.random(num_edges) < p
-        counts[r] = np.count_nonzero(np.bincount(compact[kept[edge_of]]))
+        counts[r] = np.count_nonzero(np.bincount(hg.vertex_index[kept[edge_of]]))
     return counts
 
 

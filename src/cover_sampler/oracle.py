@@ -96,11 +96,11 @@ def exact_min_cover(instance: SetCoverInstance) -> int:
 
 def exact_max_matching(hg: Hypergraph) -> int:
     """Exact maximum matching size by exhaustive search with pruning, over
-    bitmasks of each vertex's rank among those present (not its raw id)."""
+    bitmasks of each edge's ``vertex_index`` ids, none sized by the header."""
     if hg.num_edges > EXACT_MATCHING_LIMIT:
         raise TooLarge(f"{hg.num_edges} edges exceeds the exact limit {EXACT_MATCHING_LIMIT}")
-    rank = {v: r for r, v in enumerate(sorted(set().union(*hg.edges)))}
-    masks = _bitmasks([rank[v] for v in row] for row in hg.edges)
+    bounds, ids = hg.edge_csr[0].tolist(), hg.vertex_index.tolist()
+    masks = _bitmasks(ids[a:b] for a, b in zip(bounds, bounds[1:]))
     n = len(masks)
     best = 0
 
@@ -151,11 +151,9 @@ def f_approx_bound(instance: SetCoverInstance, eps: float) -> float:
     return (1.0 + 4.0 * eps) * max(instance.freq, 1)
 
 
-def hdelta_bound(instance: SetCoverInstance, eps: float,
-                 oracle_delta: float = 0.0) -> float:
-    """Expected-ratio bound of the size-threshold solver; the extra
-    (1 + oracle_delta) factor covers over-approximate size estimates."""
-    return (1.0 + eps) * (1.0 + oracle_delta) * (1.0 + 4.0 * eps) * harmonic(max(instance.delta, 1))
+def hdelta_bound(instance: SetCoverInstance, eps: float) -> float:
+    """Expected-ratio bound of the size-threshold solver with exact sizes."""
+    return (1.0 + eps) * (1.0 + 4.0 * eps) * harmonic(max(instance.delta, 1))
 
 
 def matching_bound(hg: Hypergraph, eps: float) -> float:
@@ -204,8 +202,9 @@ def measure_ratio(solver, target, eps: float, trials: int,
         else:
             raise TypeError("target must be a SetCoverInstance or Hypergraph")
     ratios = []
-    for child in rng.spawn(trials):
-        solution, _ = solver(target, eps, child)
+    # rng.spawn(trials)'s children, one at a time, so memory holds only one
+    for _ in range(trials):
+        solution, _ = solver(target, eps, rng.spawn(1)[0])
         ratios.append(1.0 if opt == 0 else solution.size / opt)
     mean, ci = mean_ci95(ratios)
     passed = (mean + ci >= bound) if maximize else (mean - ci <= bound)

@@ -184,13 +184,12 @@ def builtin_adversaries() -> dict[str, Adversary]:
 
 @dataclass(frozen=True)
 class SspConfig:
-    """One process setup.  ``k`` defaults to the minimum admissible length,
+    """One process setup.  The schedule has the minimum admissible length,
     which keeps the initial expected sample count at most eps."""
 
     initial_size: int
     eps: float
     adversary: Adversary = field(default_factory=Identity)
-    k: int | None = None
     seed: int = 0
     marked: int | None = None
 
@@ -213,10 +212,7 @@ def minimum_steps(initial_size: int, eps: float) -> int:
 
 
 def _resolve_schedule(config: SspConfig) -> Schedule:
-    kmin = minimum_steps(config.initial_size, config.eps)
-    k = kmin if config.k is None else config.k
-    if k < kmin:
-        raise InvalidConfig(f"k={k} below the required minimum {kmin}")
+    k = minimum_steps(config.initial_size, config.eps)
     if config.marked is not None and not (0 <= config.marked < config.initial_size):
         raise InvalidConfig("marked item id outside the initial pool")
     return make_schedule(config.eps, k)

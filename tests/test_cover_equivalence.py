@@ -23,9 +23,10 @@ from cover_sampler.instance import (Hypergraph, SetCoverInstance, generate_rando
                                     generate_random_instance, parse_hypergraph, parse_instance,
                                     parse_text, serialize_hypergraph, serialize_instance,
                                     to_hypergraph)
+from cover_sampler.matching import hypergraph_matching
 from cover_sampler.mpc_sim import (simulate_degree_estimation, simulate_mpc_f_approx,
                                    sparsify_non_isolated_counts)
-from cover_sampler.oracle import exact_min_cover
+from cover_sampler.oracle import EXACT_MATCHING_LIMIT, exact_max_matching, exact_min_cover
 from cover_sampler.util import derive_rng
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -234,6 +235,9 @@ def test_verify_cover_matches_reference(mode, inst, data):
 @SETTINGS
 @given(st.integers(0, 12), st.lists(st.sets(st.integers(0, 11), min_size=1), max_size=10))
 def test_max_vertex_degree_matches_loop(num_vertices, raw_edges):
+    # headers both above and below the incidence count, so both sides of the
+    # vertex_index rule; relabelling onto the ranks of the vertices present
+    # changes no vertex-indexed result
     edges = [sorted(v for v in e if v < num_vertices) for e in raw_edges]
     edges = [e for e in edges if e]
     hg = Hypergraph.from_edges(num_vertices, edges)
@@ -242,6 +246,21 @@ def test_max_vertex_degree_matches_loop(num_vertices, raw_edges):
         for v in e:
             deg[v] += 1
     assert hg.max_vertex_degree() == max(deg, default=0)
+    index = hg.vertex_index.tolist()
+    assert all(0 <= v < min(num_vertices, len(index)) for v in index)
+    rank = {v: r for r, v in enumerate(sorted({v for e in edges for v in e}))}
+    relabelled = Hypergraph.from_edges(len(rank), [[rank[v] for v in e] for e in edges])
+    results = []
+    for h in (hg, relabelled):
+        out = [h.max_vertex_degree(), exact_max_matching(h),
+               sparsify_non_isolated_counts(h, 0.5, 4, derive_rng(2)).tolist()]
+        for mode in ("numpy", "python"):
+            with pytest.MonkeyPatch.context() as mp:
+                crossover(mp, mode)
+                matching, counters = hypergraph_matching(h, 0.25, derive_rng(3))
+            out.append((matching, astuple(counters)))
+        results.append(out)
+    assert results[0] == results[1]
 
 
 def int32_read_only(csr):
@@ -313,6 +332,8 @@ def test_builders_and_array_readers_cut_no_rows():
         serialize_hypergraph(h)
         h.max_vertex_degree()
         sparsify_non_isolated_counts(h, 0.5, 3, derive_rng(1))
+        if h.num_edges <= EXACT_MATCHING_LIMIT:
+            exact_max_matching(h)
     for obj in instances + hypergraphs:
         assert replace(obj) == obj and hash(replace(obj)) == hash(obj)
         assert holds_no_rows(obj), type(obj).__name__

@@ -2,12 +2,13 @@
 numbers, and the ratio harness."""
 
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cover_sampler import (InvalidConfig, TooLarge, exact_max_matching, exact_min_cover,
+from cover_sampler import (Cover, InvalidConfig, TooLarge, exact_max_matching, exact_min_cover,
                            f_approx_bucketed, f_approx_bound,
                            generate_random_hypergraph, generate_random_instance,
                            greedy_cover, harmonic, hypergraph_matching,
@@ -211,6 +212,28 @@ def test_measure_ratio_rejects_fewer_than_one_trial(monkeypatch, trials):
     with pytest.raises(InvalidConfig, match=f"trials must be >= 1, got {trials}"):
         measure_ratio(lambda t, e, r: f_approx_bucketed(t, e, r),
                       inst, 0.25, trials, derive_rng(5), f_approx_bound(inst, 0.25))
+
+
+def test_measure_ratio_takes_one_child_per_trial():
+    # the children of rng.spawn(trials), in order, but spawned one at a
+    # time, so no trial count holds every child at once
+    inst = SetCoverInstance.from_edges(1, 1, [(0, 0)])
+    seen = []
+
+    def record(target, eps, child):
+        seen.append(child.random())
+        return Cover((0,)), None
+
+    measure_ratio(record, inst, 0.25, 5, derive_rng(6), bound=1.0, opt=1)
+    assert seen == [child.random() for child in derive_rng(6).spawn(5)]
+    tracemalloc.start()
+    try:
+        measure_ratio(lambda t, e, r: (Cover((0,)), None), inst, 0.25, 20_000,
+                      derive_rng(7), bound=1.0, opt=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_measure_ratio_rejects_workers():

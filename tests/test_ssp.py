@@ -70,13 +70,6 @@ def test_single_item_always_sampled():
         assert trace.r_z == 1
 
 
-def test_minimum_length_enforced():
-    kmin = minimum_steps(100, 0.1)
-    with pytest.raises(InvalidConfig):
-        run_ssp(SspConfig(initial_size=100, eps=0.1, k=kmin - 1))
-    run_ssp(SspConfig(initial_size=100, eps=0.1, k=kmin))
-
-
 def test_estimators_enforce_trial_minimum():
     cfg = SspConfig(initial_size=10, eps=0.5)
     with pytest.raises(InsufficientTrials):
