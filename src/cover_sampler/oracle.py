@@ -4,6 +4,7 @@ classic greedy, harmonic numbers, and the ratio-measurement harness."""
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +31,27 @@ def _bitmasks(rows) -> list[int]:
 
 
 def exact_min_cover(instance: SetCoverInstance) -> int:
-    """Exact optimum by branch and bound: branch on the uncovered element in
-    the fewest sets, order candidate sets by residual coverage, and start from
-    the greedy cover as the upper bound.
+    """Exact optimum by branch and bound that forbids earlier siblings,
+    starting from the greedy cover as the upper bound.
 
-    A node is pruned on the larger of two lower bounds: ceil(uncovered/delta),
-    and a packing of uncovered elements no two of which share a set (walk them
-    lowest first, count one, drop every element its sets reach).  A memo of
-    covered masks also prunes a node whose mask was already reached with at
-    most as many sets.
+    A node holds two bitmasks: the covered elements and the allowed sets.  It
+    branches on the uncovered element with the fewest allowed sets and tries
+    those sets in order of residual coverage: child i takes set s_i and
+    forbids s_1..s_{i-1}, in itself and in every node below it.  So the
+    children partition the covers that extend the node, and a cover holding
+    both s_1 and s_2 is searched under s_1 only.  A node is pruned when an
+    uncovered element has no allowed set, or when its count plus the larger
+    of two lower bounds reaches the best cover found: ceil(uncovered/delta),
+    and a packing of uncovered elements no two of which share a set (walk
+    them lowest first, count one, drop every element its sets reach).
+
+    There is no memo, because no two nodes share a ``(covered, allowed)``
+    pair: a child covers more than its parent, and of two nodes under
+    different children of one node, the one under the earlier child still
+    allows that child's set (its elements are covered, so nothing below
+    forbids it) while the other forbids it.  A memo of covered masks alone
+    would be unsound: the same covered elements with other sets forbidden
+    lead to other covers, perhaps the only ones that reach the optimum.
     """
     if instance.num_sets > EXACT_COVER_LIMIT:
         raise TooLarge(f"{instance.num_sets} sets exceeds the exact limit {EXACT_COVER_LIMIT}")
@@ -46,6 +59,8 @@ def exact_min_cover(instance: SetCoverInstance) -> int:
         return 0
     masks = _bitmasks(instance.set_rows[s] for s in range(instance.num_sets))
     element_sets = [instance.element_rows[t] for t in range(instance.num_elements)]
+    # holders[t]: the sets holding t, as a bitmask of set ids
+    holders = _bitmasks(element_sets)
     # reach[t]: every element sharing a set with t, t included
     reach = [0] * instance.num_elements
     for t, row in enumerate(element_sets):
@@ -54,18 +69,12 @@ def exact_min_cover(instance: SetCoverInstance) -> int:
     full = (1 << instance.num_elements) - 1
     delta = max(instance.delta, 1)
     best = greedy_cover(instance).size
-    fewest: dict[int, int] = {}
 
-    def descend(covered: int, count: int) -> None:
+    def descend(covered: int, allowed: int, count: int) -> None:
         nonlocal best
         if covered == full:
             best = min(best, count)
             return
-        # safe because best only falls: the earlier visit searched or pruned
-        # this subtree against a best at least as large
-        if fewest.get(covered, count + 1) <= count:
-            return
-        fewest[covered] = count
         uncovered = full & ~covered
         packing = 0
         rem = uncovered
@@ -74,23 +83,24 @@ def exact_min_cover(instance: SetCoverInstance) -> int:
             rem &= ~reach[(rem & -rem).bit_length() - 1]
         if count + max(packing, -(-(uncovered.bit_count()) // delta)) >= best:
             return
-        # branch on the uncovered element with the fewest candidate sets
-        pick_sets = None
+        # branch on the uncovered element with the fewest allowed sets
+        pick, pick_count = -1, instance.num_sets + 1
         rem = uncovered
         while rem:
             t = (rem & -rem).bit_length() - 1
             rem &= rem - 1
-            cands = element_sets[t]
-            if pick_sets is None or len(cands) < len(pick_sets):
-                pick_sets = cands
-                if len(cands) == 1:
-                    break
-        assert pick_sets is not None
-        ordered = sorted(pick_sets, key=lambda s: -(masks[s] & uncovered).bit_count())
+            n = (holders[t] & allowed).bit_count()
+            if n < pick_count:
+                if n == 0:
+                    return
+                pick, pick_count = t, n
+        ordered = sorted((s for s in element_sets[pick] if allowed >> s & 1),
+                         key=lambda s: -(masks[s] & uncovered).bit_count())
         for s in ordered:
-            descend(covered | masks[s], count + 1)
+            descend(covered | masks[s], allowed, count + 1)
+            allowed &= ~(1 << s)
 
-    descend(0, 0)
+    descend(0, (1 << instance.num_sets) - 1, 0)
     return best
 
 
@@ -201,7 +211,8 @@ def measure_ratio(solver, target, eps: float, trials: int,
             opt = exact_max_matching(target)
         else:
             raise TypeError("target must be a SetCoverInstance or Hypergraph")
-    ratios = []
+    # 8 bytes a trial; mean_ci95 reads the same doubles in the same order
+    ratios = array("d")
     # rng.spawn(trials)'s children, one at a time, so memory holds only one
     for _ in range(trials):
         solution, _ = solver(target, eps, rng.spawn(1)[0])

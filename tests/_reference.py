@@ -2,12 +2,12 @@
 simulator and the degree-estimation pass replaced, kept as references: each
 walks every incidence and charges every counter one visit at a time.  Also
 the step loop that `bucket_distribution` replaced, the planner whose
-no-compression zone was found by a loop over every step, and neighbourhood
-balls from scipy's shortest paths in place of the bit-parallel BFS.  They
-read tuple rows cut whole from the CSR arrays by `csr_rows`, not the
-instance's row caches, and group their draws with `ref_buckets`, not
-`step_groups`, so none shares a planner, a ball or a grouping with the code
-it checks."""
+no-compression zone was found by a loop over every step, neighbourhood
+balls from scipy's shortest paths in place of the bit-parallel BFS, and the
+exact cover search that forbids no sibling.  They read tuple rows cut whole
+from the CSR arrays by `csr_rows`, not the instance's row caches, and group
+their draws with `ref_buckets`, not `step_groups`, so none shares a planner,
+a ball or a grouping with the code it checks."""
 
 import math
 from collections import Counter, defaultdict
@@ -349,3 +349,57 @@ def ref_plan_phases(delta, freq, eps, n):
         i -= r
     return PhasePlan(phases=tuple(phases), k=sched.k,
                      predicted_mpc_rounds=sum(ph.rounds for ph in phases))
+
+
+def ref_exact_min_cover(instance):
+    """The exact cover search that forbids no sibling: branch on the
+    uncovered element in the fewest sets, try each of its sets in order of
+    residual coverage, prune on the larger of ceil(uncovered/delta) and a
+    packing of elements no two of which share a set, and memoize the fewest
+    sets that reached each covered mask.  Its upper bound is its own greedy
+    pass over the set bitmasks, so it shares no code with the oracle."""
+    set_rows, element_rows = csr_rows(instance.set_csr), csr_rows(instance.element_csr)
+    if not element_rows:
+        return 0
+    masks = [sum(1 << t for t in row) for row in set_rows]
+    reach = [0] * len(element_rows)
+    for t, row in enumerate(element_rows):
+        for s in row:
+            reach[t] |= masks[s]
+    full = (1 << len(element_rows)) - 1
+    delta = max(max(map(len, set_rows)), 1)
+    # upper bound: repeatedly take a set covering the most uncovered elements
+    best, covered = 0, 0
+    while covered != full:
+        covered |= max(masks, key=lambda m: (m & ~covered).bit_count())
+        best += 1
+    fewest = {}
+
+    def descend(covered, count):
+        nonlocal best
+        if covered == full:
+            best = min(best, count)
+            return
+        if fewest.get(covered, count + 1) <= count:
+            return
+        fewest[covered] = count
+        uncovered = full & ~covered
+        packing = 0
+        rem = uncovered
+        while rem:
+            packing += 1
+            rem &= ~reach[(rem & -rem).bit_length() - 1]
+        if count + max(packing, -(-uncovered.bit_count() // delta)) >= best:
+            return
+        pick = None
+        rem = uncovered
+        while rem:
+            t = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            if pick is None or len(element_rows[t]) < len(pick):
+                pick = element_rows[t]
+        for s in sorted(pick, key=lambda s: -(masks[s] & uncovered).bit_count()):
+            descend(covered | masks[s], count + 1)
+
+    descend(0, 0)
+    return best

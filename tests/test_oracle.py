@@ -4,7 +4,9 @@ numbers, and the ratio harness."""
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
+from _reference import ref_exact_min_cover
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -103,25 +105,49 @@ def test_exact_cover_corpus_optima_pinned():
 
 
 def test_exact_cover_search_effort_bounded():
-    # counts calls of the search's node function; the first five corpus
-    # instances take 5747 nodes, and dropping the packing bound (24847), the
-    # memo (9578) or the memo's pruning on ties (9447) goes past the bound
-    nodes = 0
+    # counts calls of the search's node function and records each node's
+    # (covered, allowed) pair; the first five corpus instances take 839
+    # nodes, no pair repeats (so a memo of them would never prune), and
+    # trying each set without forbidding its earlier siblings (5747) or
+    # dropping the packing bound (1961) goes past the bound
+    nodes = []
 
-    def count_nodes(frame, event, arg):
-        nonlocal nodes
+    def record_node(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "descend":
-            nodes += 1
+            nodes.append((frame.f_locals["covered"], frame.f_locals["allowed"]))
 
     corpus = build_cover_corpus(100)[:5]
     previous = sys.getprofile()
-    sys.setprofile(count_nodes)
+    sys.setprofile(record_node)
     try:
         optima = [exact_min_cover(inst) for inst in corpus]
     finally:
         sys.setprofile(previous)
     assert optima == CORPUS_OPTIMA[:5]
-    assert nodes <= 7000
+    assert 0 < len(nodes) <= 900
+    assert len(set(nodes)) == len(nodes)
+
+
+def test_exact_cover_matches_reference_beyond_exhaustive_limit():
+    # the search that forbids no sibling, at 30 sets, where brute force
+    # cannot reach; the sparser shapes vary the optimum from 10 to 15
+    for shape in [(30, 80, 6), (30, 60, 3), (30, 50, 2)]:
+        for seed in range(10):
+            inst = generate_random_instance(*shape, seed=seed)
+            assert exact_min_cover(inst) == ref_exact_min_cover(inst)
+
+
+def test_exact_cover_optima_survive_relabelling():
+    # siblings are forbidden in an order that ties break by set id, so a
+    # prune that leans on that order would show under permuted ids
+    rng = np.random.default_rng(28)
+    for inst, opt in zip(build_cover_corpus(100), CORPUS_OPTIMA):
+        set_perm = rng.permutation(inst.num_sets)
+        element_perm = rng.permutation(inst.num_elements)
+        edges = [(int(set_perm[s]), int(element_perm[t]))
+                 for s in range(inst.num_sets) for t in inst.set_rows[s]]
+        relabelled = SetCoverInstance.from_edges(inst.num_sets, inst.num_elements, edges)
+        assert exact_min_cover(relabelled) == opt
 
 
 def test_exact_matching_trivia():
@@ -233,6 +259,27 @@ def test_measure_ratio_takes_one_child_per_trial():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_measure_ratio_holds_eight_bytes_per_trial():
+    # the ratios are kept as doubles in an array; a list of Python floats
+    # would take about 48 bytes a trial (9.6 MB here).  A stream whose children
+    # cost nothing keeps the 200,000 trials quick under tracemalloc.
+    class FreeChildren:
+        def spawn(self, n):
+            return [None] * n
+
+    inst = SetCoverInstance.from_edges(1, 1, [(0, 0)])
+    result = (Cover((0,)), None)
+    tracemalloc.start()
+    try:
+        report = measure_ratio(lambda t, e, r: result, inst, 0.25, 200_000,
+                               FreeChildren(), bound=1.0, opt=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.trials, report.mean_ratio, report.ci95) == (200_000, 1.0, 0.0)
     assert peak < 4 * 2 ** 20
 
 
