@@ -6,8 +6,9 @@ amplification.
 
 The simulator is logical: one machine executes the bucketed solver phase by
 phase and measures relevant-subgraph sizes, neighborhood-ball sizes and
-residual degrees.  Ball sizes are exact, from a bit-parallel BFS over the
-phase's relevant subgraph.  No networking or machine partitioning is emulated.
+residual degrees.  Ball sizes are exact: a word-matrix BFS over the phase's
+relevant subgraph measures balls batch by batch until a bound rules out every
+unmeasured node.  No networking or machine partitioning is emulated.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ class PlannedPhase:
     length: int
     case_tag: int
     tau: float
+    # simulated communication rounds, ceil(log2 length) + 2, set once here
+    # for the plan's sum and the simulator's records to read
+    rounds: int = field(init=False)
 
-    @property
-    def rounds(self) -> int:
-        """Simulated communication rounds: ceil(log2 length) + 2."""
-        return (self.length - 1).bit_length() + 2
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rounds", (self.length - 1).bit_length() + 2)
 
 
 @dataclass(frozen=True)
@@ -128,33 +130,117 @@ class MpcReport:
     counters: CostCounters = field(default_factory=CostCounters)
 
 
-# Sources are measured in blocks of this many bits, so a node's reach set
-# stays within 512 bytes and the sets of an n-node phase graph within about
-# n * 512 bytes however large it is.
-_BALL_BLOCK = 4096
+# Ball sources are measured in batches: the first of this many, each later
+# one twice the last, up to 16 times this.  At 256 a node holds at most 4096
+# source bits, 64 words or 512 bytes, so the three word matrices of a batch
+# on an n-node graph stay within about 3 * n * 512 bytes.
+_BALL_BATCH = 256
+
+_SWAR = tuple(np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333,
+                                     0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
 
-def _max_ball_size(adj: list[list[int]], radius: int) -> int:
+def _row_popcounts(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Set bits per row of the uint64 matrix ``words``, by the shift-and-mask
+    popcount, worked in place in ``words`` and ``scratch`` (same shape)."""
+    m1, m2, m4, h01 = _SWAR
+    np.right_shift(words, np.uint64(1), out=scratch)
+    scratch &= m1
+    words -= scratch
+    np.right_shift(words, np.uint64(2), out=scratch)
+    scratch &= m2
+    words &= m2
+    words += scratch
+    np.right_shift(words, np.uint64(4), out=scratch)
+    words += scratch
+    words &= m4
+    words *= h01
+    words >>= np.uint64(56)
+    return words.sum(axis=1).astype(np.int64)
+
+
+def _max_ball_size(n: int, a: np.ndarray, b: np.ndarray, radius: int) -> int:
     """Largest number of nodes within ``radius`` hops of any node of the
-    undirected graph ``adj`` (node ids 0..len(adj)-1), by bit-parallel BFS:
-    after r rounds of reach[v] |= reach[w] over every edge, the bit of
-    source s in reach[v] is set iff s lies within r hops of v, so ball(v) is
-    the popcount of reach[v] summed over the source blocks."""
-    n = len(adj)
-    ball = [0] * n
-    for lo in range(0, n, _BALL_BLOCK):
-        reach = [0] * n
-        for s in range(lo, min(n, lo + _BALL_BLOCK)):
-            reach[s] = 1 << (s - lo)
+    simple undirected graph on nodes 0..n-1 with edges a[i]-b[i].
+
+    At radius 1 that is 1 + the largest degree.  Otherwise sources are
+    measured in batches by a word-matrix BFS: each node holds one bit per
+    batch source, and after r rounds of reach[v] |= reach[w] over every edge
+    the bit of source s in reach[v] is set iff s lies within r hops of v.
+    Nodes are relabelled by decreasing degree, so the nodes with more than d
+    neighbours are a prefix and a round is one gather and one OR per d.
+
+    A source's ball is its column's popcount.  A row's popcount counts the
+    batch sources within r hops of its node, so a node v whose ball is not
+    yet measured holds at most n minus the measured sources farther than r
+    from it.  Once no such bound beats the largest measured ball, that ball
+    is the answer.  Each batch takes half its sources from the open nodes of
+    highest bound, which may beat it, and half from those of lowest, which
+    lie far from every source so far (the first batch: the lowest- and the
+    highest-degree nodes)."""
+    if n == 0:
+        return 0
+    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    if radius == 1 or a.size == 0:
+        return 1 + int(deg.max())
+    order = np.argsort(-deg, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    deg = deg[order]
+    src = rank[np.concatenate((a, b))]
+    dst = rank[np.concatenate((b, a))]
+    by_src = np.argsort(src, kind="stable")
+    src, dst = src[by_src], dst[by_src]
+    # entry j is neighbour number pos[j] of node src[j]; ordered by that
+    # number, the d-th neighbours of nodes 0..c_d-1 lie side by side
+    pos = np.arange(src.size) - (np.cumsum(deg) - deg)[src]
+    nbr = dst[np.argsort(pos, kind="stable")]
+    ends = np.cumsum(np.bincount(pos)).tolist()
+    first, *rest = (nbr[lo:hi] for lo, hi in zip([0] + ends, ends))
+    linked = first.size  # the nodes after these are isolated
+
+    best = taken = 0
+    reached = np.zeros(n, dtype=np.int64)  # measured sources within radius
+    unmeasured = np.ones(n, dtype=bool)
+    size = _BALL_BATCH
+    open_ = np.arange(n)
+    while open_.size:
+        sources = open_
+        if open_.size > size:
+            # the least reached and the most reached, ties by degree
+            ranked = open_[np.argsort(reached[open_], kind="stable")]
+            sources = np.concatenate((ranked[:size - size // 2],
+                                      ranked[open_.size - size // 2:]))
+        count = sources.size
+        shape = (n, -(-count // 64))
+        reach = np.zeros(shape, dtype=np.uint64)
+        # bit j of a row's bytes, read little-endian, is source j
+        j = np.arange(count)
+        reach.view(np.uint8)[sources, j >> 3] = (1 << (j & 7)).astype(np.uint8)
+        grown = reach.copy()
+        gathered = np.empty(shape, dtype=np.uint64)
         for _ in range(radius):
-            grown = []
-            for own, nbrs in zip(reach, adj):
-                for w in nbrs:
-                    own |= reach[w]
-                grown.append(own)
-            reach = grown
-        ball = [b + r.bit_count() for b, r in zip(ball, reach)]
-    return max(ball, default=0)
+            np.take(reach, first, axis=0, out=gathered[:linked], mode="clip")
+            np.bitwise_or(reach[:linked], gathered[:linked], out=grown[:linked])
+            for nbrs in rest:
+                c = nbrs.size
+                np.take(reach, nbrs, axis=0, out=gathered[:c], mode="clip")
+                np.bitwise_or(grown[:c], gathered[:c], out=grown[:c])
+            reach, grown = grown, reach
+        balls = np.zeros(count, dtype=np.int64)
+        # 128 rows of bits, at most 512 KiB unpacked, sum within uint8
+        for lo in range(0, n, 128):
+            balls += np.add.reduce(np.unpackbits(
+                reach.view(np.uint8)[lo:lo + 128], axis=1, count=count,
+                bitorder="little"), axis=0, dtype=np.uint8)
+        best = max(best, int(balls.max()))
+        taken += count
+        unmeasured[sources] = False
+        reached += _row_popcounts(reach, gathered)
+        # ball(v) <= n - (taken - reached[v]), which must beat best
+        open_ = np.flatnonzero(unmeasured & (reached > best - n + taken))
+        size = min(2 * size, 16 * _BALL_BATCH)
+    return best
 
 
 def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
@@ -178,7 +264,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
                        instance.num_sets + instance.num_elements)
     state = _SweepState(instance, report.counters)
-    element_rows = state.element_rows
+    indptr = instance.element_csr[0]
     rounds = 0
     # only a commit changes residuals, and every commit grows state.chosen,
     # so the whole-array scan is redone only when the number of chosen sets
@@ -194,26 +280,25 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         first = g
         while g < len(groups) and groups[g][0] >= i_lo:
             g += 1
-        phase_groups = [group for _, group in groups[first:g]]
-        drawn = (np.concatenate(phase_groups) if phase_groups
-                 else np.empty(0, np.int64))
-        relevant = drawn[~state.covered[drawn]].tolist()
-        set_node: dict[int, int] = {}
-        max_ball = 0
-        if relevant:
-            # relevant element u is node u; each set touching one, unchosen
-            # as the element is uncovered, is the next node after them
-            adj: list[list[int]] = [[] for _ in relevant]
-            for u, t in enumerate(relevant):
-                for s in element_rows[t]:
-                    if s not in set_node:
-                        set_node[s] = len(adj)
-                        adj.append([])
-                    adj[u].append(set_node[s])
-                    adj[set_node[s]].append(u)
-            max_ball = _max_ball_size(adj, phase.length)
-        for group in phase_groups:
-            state.sweep_step(group)
+        relevant = nonisolated = max_ball = 0
+        if g > first:
+            # a phase that drew no step makes no numpy call
+            phase_groups = [group for _, group in groups[first:g]]
+            drawn = np.concatenate(phase_groups)
+            elements = drawn[~state.covered[drawn]]
+            relevant = elements.size
+            if relevant:
+                # relevant element u is node u; the sets on their rows,
+                # unchosen as the elements are uncovered, follow them
+                sets, set_node = np.unique(_gather(instance.element_csr, elements),
+                                           return_inverse=True)
+                nonisolated = sets.size
+                rows = indptr[elements + 1] - indptr[elements]
+                max_ball = _max_ball_size(
+                    relevant + nonisolated, np.repeat(np.arange(relevant), rows),
+                    relevant + set_node, phase.length)
+            for group in phase_groups:
+                state.sweep_step(group)
         if len(state.chosen) != residual_scanned_at:
             residual_scanned_at = len(state.chosen)
             residual_after = int(state.residual.max(initial=0))
@@ -221,8 +306,8 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         report.phases.append(PhaseRecord(
             index=idx, case_tag=phase.case_tag, start_step=i_hi, end_step=i_lo,
             length=phase.length, p_start=p[i_hi], p_end=p[i_lo],
-            live_elements=live_elements, relevant_elements=len(relevant),
-            nonisolated_sets=len(set_node), max_ball=max_ball,
+            live_elements=live_elements, relevant_elements=relevant,
+            nonisolated_sets=nonisolated, max_ball=max_ball,
             residual_degree_after=residual_after, cumulative_rounds=rounds))
     report.simulated_rounds = rounds
     return state.cover(), report

@@ -130,18 +130,148 @@ def _random_graph(rng):
     return adj
 
 
+def _max_ball(adj, radius):
+    """`mpc_sim._max_ball_size` on the graph of adjacency lists ``adj``."""
+    edges = np.array([(v, w) for v, nbrs in enumerate(adj) for w in nbrs if v < w],
+                     dtype=np.int64).reshape(-1, 2)
+    return mpc_sim._max_ball_size(len(adj), edges[:, 0], edges[:, 1], radius)
+
+
 @pytest.mark.parametrize("block", [None, 3], ids=["default-block", "block-3"])
 def test_max_ball_matches_shortest_path_reference(monkeypatch, block):
+    # a first batch of 3 sources takes every graph here with over 3 nodes
+    # through several batches
     if block is not None:
-        monkeypatch.setattr(mpc_sim, "_BALL_BLOCK", block)
+        monkeypatch.setattr(mpc_sim, "_BALL_BATCH", block)
     for r in (1, 2, 5):
-        assert mpc_sim._max_ball_size([], r) == 0
+        assert _max_ball([], r) == 0
     rng = np.random.default_rng(42)
     for trial in range(200):
         adj = _random_graph(rng)
         # radius 1, a middle radius, and one at least the diameter
         radius = (1, int(rng.integers(2, 6)), len(adj))[trial % 3]
-        assert mpc_sim._max_ball_size(adj, radius) == ref_max_ball(adj, radius)
+        assert _max_ball(adj, radius) == ref_max_ball(adj, radius)
+
+
+def _phase_graphs(monkeypatch, inst, eps, rng):
+    """(n, a, b, radius) of every ball the simulator measures."""
+    graphs = []
+    measure = mpc_sim._max_ball_size
+
+    def capture(n, a, b, radius):
+        graphs.append((n, a, b, radius))
+        return measure(n, a, b, radius)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mpc_sim, "_max_ball_size", capture)
+        simulate_mpc_f_approx(inst, eps, rng)
+    return graphs
+
+
+def _count_batches(monkeypatch, n, a, b, radius):
+    """The ball of the graph and the number of source batches it took."""
+    batches = []
+    popcounts = mpc_sim._row_popcounts
+
+    def count(words, scratch):
+        batches.append(words.shape[1])
+        return popcounts(words, scratch)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mpc_sim, "_row_popcounts", count)
+        return mpc_sim._max_ball_size(n, a, b, radius), len(batches)
+
+
+def _adjacency(n, a, b):
+    adj = [[] for _ in range(n)]
+    for v, w in zip(a.tolist(), b.tolist()):
+        adj[v].append(w)
+        adj[w].append(v)
+    return adj
+
+
+@pytest.mark.parametrize("block", [None, 16], ids=["default-block", "block-16"])
+def test_max_ball_matches_reference_on_phase_graphs(monkeypatch, block):
+    # the phase graphs of 300 to 3,000 nodes at eps 0.25 (532 to 1,791
+    # nodes, radius 10 and 11) and 0.1 (radius 1); at the default batch the
+    # largest takes several batches, and at 16 the batch reaches its cap
+    inst = generate_random_instance(6000, 60000, 3, seed=4)
+    graphs = [g for eps in (0.25, 0.1) for g in _phase_graphs(monkeypatch, inst, eps, derive_rng(2))
+              if 300 <= g[0] <= 3000]
+    if block is not None:
+        monkeypatch.setattr(mpc_sim, "_BALL_BATCH", block)
+    assert {g[3] == 1 for g in graphs} == {False, True}
+    most = 0
+    for n, a, b, radius in graphs:
+        ball, batches = _count_batches(monkeypatch, n, a, b, radius)
+        assert ball == ref_max_ball(_adjacency(n, a, b), radius)
+        most = max(most, batches)
+    assert most >= (2 if block is None else 6)
+
+
+def _path(n):
+    return np.arange(n - 1), np.arange(1, n)
+
+
+def _star(n):
+    return np.zeros(n - 1, dtype=np.int64), np.arange(1, n)
+
+
+def _components(parts, size, seed):
+    # equal random trees side by side
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([p * size + rng.integers(0, np.arange(1, size)) for p in range(parts)])
+    b = np.concatenate([p * size + np.arange(1, size) for p in range(parts)])
+    return a, b
+
+
+def _sparse(n, seed):
+    # a random graph of average degree about 2.4, most of it one component
+    rng = np.random.default_rng(seed)
+    pairs = {tuple(sorted(e)) for e in rng.integers(0, n, (int(1.2 * n), 2)).tolist()
+             if e[0] != e[1]}
+    a, b = np.array(sorted(pairs)).T
+    return a, b
+
+
+@pytest.mark.parametrize("block", [None, 8], ids=["default-block", "block-8"])
+@pytest.mark.parametrize("n,edges,radius", [
+    (2000, _path(2000), 1),
+    (2000, _path(2000), 7),
+    (300, _path(300), 299),  # the radius is the diameter
+    (1000, _star(1000), 1),
+    (1000, _star(1000), 2),
+    (1200, _components(6, 200, 1), 4),
+    (1200, _components(6, 200, 1), 199),  # at least every tree's diameter
+    (1000, _sparse(1000, 2), 3),
+    (1000, _sparse(1000, 3), 6),
+], ids=["path-r1", "path-r7", "path-diameter", "star-r1", "star-r2",
+        "equal-trees-r4", "equal-trees-diameter", "sparse-r3", "sparse-r6"])
+def test_max_ball_matches_reference_on_shaped_graphs(monkeypatch, block, n, edges, radius):
+    if block is not None:
+        monkeypatch.setattr(mpc_sim, "_BALL_BATCH", block)
+    a, b = edges
+    assert mpc_sim._max_ball_size(n, a, b, radius) == ref_max_ball(_adjacency(n, a, b), radius)
+
+
+def test_max_ball_memory_is_linear_in_the_nodes(monkeypatch):
+    # the largest phase graph of the m = 6e4 benchmark instance (3,263
+    # nodes), measured in one batch of every source, so each node holds as
+    # many bits as this graph allows: three word matrices of at most 512
+    # bytes a node, plus 1 MiB for the unpacked bits and the edge arrays
+    inst = generate_random_instance(2000, 20000, 3, seed=1)
+    n, a, b, radius = max(_phase_graphs(monkeypatch, inst, 0.25, derive_rng(1, 0)),
+                          key=lambda g: g[0])
+    assert 3000 < n <= 4096
+    monkeypatch.setattr(mpc_sim, "_BALL_BATCH", 4096)
+    tracemalloc.start()
+    try:
+        ball = mpc_sim._max_ball_size(n, a, b, radius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ball > 3000
+    assert peak < 3 * n * 512 + 2 ** 20
 
 
 def test_phase_records_seeded_values_pinned():

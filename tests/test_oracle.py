@@ -252,10 +252,17 @@ def test_measure_ratio_takes_one_child_per_trial():
 
     measure_ratio(record, inst, 0.25, 5, derive_rng(6), bound=1.0, opt=1)
     assert seen == [child.random() for child in derive_rng(6).spawn(5)]
+
+    # each stub child holds 1 KiB, so spawning all 20,000 at once would
+    # hold about 20 MB
+    class HeavyChildren:
+        def spawn(self, n):
+            return [bytearray(1024) for _ in range(n)]
+
     tracemalloc.start()
     try:
         measure_ratio(lambda t, e, r: (Cover((0,)), None), inst, 0.25, 20_000,
-                      derive_rng(7), bound=1.0, opt=1)
+                      HeavyChildren(), bound=1.0, opt=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
