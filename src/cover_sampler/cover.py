@@ -15,10 +15,11 @@ Three solvers share one sampling law:
 All three commit through one engine, `_SweepState`, which also drives the
 phase simulator and the degree-estimation pass in ``mpc_sim``; it holds the
 one covered/residual bookkeeping, the chosen sets and the count of uncovered
-elements.  Each sweep step and commit takes one of two paths, chosen from
-its batch size alone: a large batch gathers the instance's CSR
-``indptr``/``indices`` arrays, its only stored layout, with numpy, and
-dedups ids by one sort (`_sorted_distinct`); a small one walks
+elements.  `_SweepState.sweep` takes a whole step draw in one call, each
+group committed before the next is read.  Each batch and commit takes
+one of two paths, chosen from its size alone: a large batch gathers the
+instance's CSR ``indptr``/``indices`` arrays, its only stored layout, with
+numpy, and dedups ids by one sort (`_sorted_distinct`); a small one walks
 tuple rows from Python, each cut from the arrays on its first read
 (`SetCoverInstance.set_rows`), so a solve cuts only the rows its small
 batches read.  Every commit then lowers the residuals of its newly covered
@@ -28,11 +29,14 @@ size-threshold solver reads the sizes of a large step group the same way,
 as arrays, noisy or exact, and files the sets a level drops by one sort.
 `step_groups` hands a large draw out as one array partition
 (`schedule.StepPartition`), whose groups the bucketed solver and the
-size-threshold solver read as array slices; only a small group becomes a
-Python list.  Every path charges the work
-counters from the same row lengths and leaves the same state, so outputs
-and counters do not depend on the path.  Solvers are deterministic given
-their arguments and the rng seed.
+size-threshold solver read as array slices; a small draw comes out as
+Python lists, grouped in one pass.  The hot loops charge the
+work counters once per sweep or per solve, from the same row lengths on
+every path, and every path leaves the same state, so outputs and counters
+do not depend on the path.  A solve reads its schedule and its per-plateau
+probabilities (`schedule.plateau_probabilities`) from caches that hold
+O(k/b) values, never one Python object per step.  Solvers are
+deterministic given their arguments and the rng seed.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .instance import SetCoverInstance
-from .schedule import (compute_b, probabilities, schedule_for_frequency,
+from .schedule import (compute_b, plateau_probabilities, schedule_for_frequency,
                        schedule_for_max_size, step_groups)
 from .util import INTEGER_GUARD, guarded_floor
 
@@ -134,17 +138,17 @@ class _SweepState:
     belongs to it, and the sets reached from uncovered elements, or read
     with a nonzero residual, are unchosen without a test.
 
-    `sweep_step` and `commit` pick their path per call from the batch size
-    (see ``_VECTOR_MIN``), counting from the arrays.  The Python path loops
-    over tuple rows through the ``bytearray``/``array`` buffers; ``set_rows``
-    and ``element_rows``, the instance's row caches bound once, cut each row
-    on its first read, so a solve cuts only the rows its small batches read
-    and a solve whose every batch is large cuts none.  The numpy path
-    gathers the instance's CSR arrays: the uncovered sampled elements' sets,
-    the distinct ones (`_sorted_distinct`, ascending as ``np.unique``) and
-    their rows, all through numpy views of the same buffers.  Either path
-    ends in one residual update, see `commit`.  Counters are charged from
-    the gathered sizes.
+    `sweep` (for each group of its draw) and `commit` pick their path from
+    the batch size (see ``_VECTOR_MIN``), counting from the arrays.  The
+    Python path loops over tuple rows through the ``bytearray``/``array``
+    buffers; ``set_rows`` and ``element_rows``, the instance's row caches
+    bound once, cut each row on its first read, so a solve cuts only the
+    rows its small batches read and a solve whose every batch is large cuts
+    none.  The numpy path gathers the instance's CSR arrays: the uncovered
+    sampled elements' sets, the distinct ones (`_sorted_distinct`, ascending
+    as ``np.unique``) and their rows, all through numpy views of the same
+    buffers.  Either path ends in one residual update, see `commit`.
+    Counters are charged from the gathered sizes.
     """
 
     def __init__(self, instance: SetCoverInstance, counters: CostCounters):
@@ -213,36 +217,42 @@ class _SweepState:
         c.edge_touches += walked
         c.element_touches += walked
 
-    def sweep_step(self, element_ids) -> None:
-        """Process one step's batch of sampled elements, a list or an int
-        array (simultaneously: the batch is fixed before any of its coverage
-        takes effect)."""
-        c = self.counters
-        c.steps_executed += 1
-        n = len(element_ids)
-        c.element_touches += n
+    def sweep(self, groups) -> None:
+        """Process a step draw as `step_groups` hands it out, or any sized
+        sequence of ``(step, ids)`` pairs with the ids a list or an int
+        array: group by group, each fixed before any of its coverage takes
+        effect and committed before the next one is read.  The sweep's
+        counters are charged once, at its end."""
         inst = self.instance
-        if n >= _VECTOR_MIN:
-            ids = np.asarray(element_ids)
-            sets = _gather(inst.element_csr, ids[~self.covered[ids]])
-            c.edge_touches += sets.size
-            c.set_touches += sets.size
-            self.commit(_sorted_distinct(sets))
-            return
-        if isinstance(element_ids, np.ndarray):
-            element_ids = element_ids.tolist()
         covered, element_rows = self.covered_buf, self.element_rows
-        batch: dict[int, None] = {}
-        for t in element_ids:
-            if covered[t]:
+        vector_min, ndarray = _VECTOR_MIN, np.ndarray
+        touches = edges = 0
+        for _, element_ids in groups:
+            n = len(element_ids)
+            touches += n
+            if n >= vector_min:
+                ids = np.asarray(element_ids)
+                sets = _gather(inst.element_csr, ids[~self.covered[ids]])
+                edges += sets.size
+                self.commit(_sorted_distinct(sets))
                 continue
-            row = element_rows[t]
-            c.edge_touches += len(row)
-            c.set_touches += len(row)
-            for s in row:
-                batch[s] = None
-        if batch:
-            self.commit(list(batch))
+            if isinstance(element_ids, ndarray):
+                element_ids = element_ids.tolist()
+            batch: dict[int, None] = {}
+            for t in element_ids:
+                if covered[t]:
+                    continue
+                row = element_rows[t]
+                edges += len(row)
+                for s in row:
+                    batch[s] = None
+            if batch:
+                self.commit(list(batch))
+        c = self.counters
+        c.steps_executed += len(groups)
+        c.element_touches += touches
+        c.edge_touches += edges
+        c.set_touches += edges
 
     def cover(self) -> Cover:
         return Cover(tuple(sorted(self.chosen)))
@@ -256,26 +266,33 @@ def f_approx_online(instance: SetCoverInstance, eps: float,
     if instance.num_elements == 0:
         return Cover(()), counters
     sched = schedule_for_max_size(instance.delta, eps)
-    p = probabilities(sched).tolist()
+    plateaus, b = plateau_probabilities(sched), sched.b
     state = _SweepState(instance, counters)
+    # live_ids holds every uncovered element: only a sweep covers any, so
+    # it is rescanned after a sweep that did
     live_ids = np.arange(instance.num_elements)
+    n_live = live_ids.size
+    empty = 0
     for i in range(sched.k, -1, -1):
-        # live_ids holds every uncovered element, so equal counts mean
-        # nothing was covered since the last rescan
-        if live_ids.size != state.uncovered:
-            live_ids = live_ids[~state.covered[live_ids]]
-        n_live = live_ids.size
-        if n_live == 0:
-            break
-        cnt = n_live if p[i] >= 1.0 else int(rng.binomial(n_live, p[i]))
+        p = plateaus[-(-i // b)]
+        # a scalar binomial is a Python int
+        cnt = n_live if p >= 1.0 else rng.binomial(n_live, p)
         if cnt == 0:
-            counters.steps_executed += 1
+            empty += 1
             continue
         if cnt == n_live:
             sampled = live_ids
         else:
-            sampled = np.sort(rng.choice(live_ids, size=cnt, replace=False))
-        state.sweep_step(sampled)
+            # the fresh draw, sorted in place: np.sort's result
+            sampled = rng.choice(live_ids, size=cnt, replace=False)
+            sampled.sort()
+        state.sweep(((i, sampled),))
+        if state.uncovered != n_live:
+            live_ids = live_ids[~state.covered[live_ids]]
+            n_live = live_ids.size
+            if n_live == 0:
+                break
+    counters.steps_executed += empty
     return state.cover(), counters
 
 
@@ -289,8 +306,7 @@ def f_approx_bucketed(instance: SetCoverInstance, eps: float,
         return Cover(()), counters
     sched = schedule_for_max_size(instance.delta, eps)
     state = _SweepState(instance, counters)
-    for _, group in step_groups(sched, rng, instance.num_elements):
-        state.sweep_step(group)
+    state.sweep(step_groups(sched, rng, instance.num_elements))
     return state.cover(), counters
 
 
@@ -345,7 +361,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         return Cover(()), counters
     sched = schedule_for_frequency(instance.freq, eps)
     log_base = math.log1p(eps)
-    level_cap = _level(eps, instance.delta)
+    level_cap = _size_level(eps, instance.delta)
     noisy = oracle_delta > 0
 
     state = _SweepState(instance, counters)
@@ -355,7 +371,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
 
     # exact sizes take few distinct values, so their levels are cached
     # across solves; a noisy estimate rarely recurs
-    level_of = functools.partial(_level if noisy else _size_level, eps)
+    level_of = _level if noisy else _size_level
     levels: dict[int, list[int]] = defaultdict(list)
 
     def file_by_level(sets: np.ndarray, estimates: np.ndarray, cap: int) -> None:
@@ -366,7 +382,7 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         quotients = np.log(estimates) / log_base
         found = np.floor(quotients).astype(np.int64)
         near = np.flatnonzero(np.abs(quotients - np.rint(quotients)) <= 2 * INTEGER_GUARD)
-        found[near] = [level_of(e) for e in estimates[near].tolist()]
+        found[near] = [level_of(eps, e) for e in estimates[near].tolist()]
         targets = np.maximum(np.minimum(found, cap), 0)
         order = np.argsort(targets, kind="stable")
         ranked, ids = targets[order], sets[order]
@@ -382,8 +398,11 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
     else:
         for s, n in enumerate(residual):
             if n:
-                levels[min(level_of(n), level_cap)].append(s)
+                levels[min(level_of(eps, n), level_cap)].append(s)
 
+    # the groups and sets visited, the sizes read before the visits and the
+    # drops, charged once the solve ends
+    steps = visits = before = rebucketed = 0
     for j in range(level_cap, -1, -1):
         members = levels.pop(j, [])
         if not members:
@@ -396,15 +415,18 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
         # group; a small one files each at once
         defer = len(members) >= _VECTOR_MIN
         dropped, dropped_estimates = [], []
-        for i, group in step_groups(sched, rng, len(members), members):
-            counters.steps_executed += 1
-            if len(group) >= _VECTOR_MIN:
+        groups = step_groups(sched, rng, len(members), members)
+        steps += len(groups)
+        visits += len(members)
+        for i, group in groups:
+            # a small level's groups are small lists
+            if defer and len(group) >= _VECTOR_MIN:
                 # a large group is read and tested with arrays, its noise
                 # drawn as one vector, which gives the same doubles as one
                 # draw per set
                 sets = np.asarray(group)
                 sizes = state.residual[sets]
-                before = int(seen_view[sets].sum())
+                before += int(seen_view[sets].sum())
                 seen_view[sets] = sizes
                 live = sizes != 0
                 sets, sizes = sets[live], sizes[live]
@@ -415,16 +437,15 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
                 drop = ~meets
                 dropped += sets[drop].tolist()
                 dropped_estimates += estimates[drop].tolist()
-                counters.rebucket_events += len(sets) - len(batch)
+                rebucketed += len(sets) - len(batch)
             else:
-                if isinstance(group, np.ndarray):
+                if defer and isinstance(group, np.ndarray):
                     group = group.tolist()
                 if noisy:
                     # one vector over the sets with a nonzero residual, in
                     # group order, the same doubles as one draw per set
                     live = sum(1 for s in group if residual[s])
                     factors = iter(rng.uniform(1.0, 1.0 + oracle_delta, live).tolist())
-                before = 0
                 batch, batch_sizes = [], []
                 for s in group:
                     before += seen[s]
@@ -436,30 +457,41 @@ def hdelta_cover(instance: SetCoverInstance, eps: float,
                         batch.append(s)
                         batch_sizes.append(size)
                     else:
-                        counters.rebucket_events += 1
+                        rebucketed += 1
                         if defer:
                             dropped.append(s)
                             dropped_estimates.append(estimate)
                         else:
-                            levels[max(min(level_of(estimate), j - 1), 0)].append(s)
-            counters.set_touches += len(group) + before
-            counters.edge_touches += before
+                            # an estimate of at least 1 meets level 0, so
+                            # j - 1 and its own level are both nonnegative
+                            levels[min(level_of(eps, estimate), j - 1)].append(s)
             if not batch:
                 continue
             if batch_log is not None:
-                max_live = int(state.residual.max(initial=0))
-                # coverage has not moved since the batch was read, so this
-                # counts each newly covered element once per batch set that
-                # covers it
-                covering = Counter(t for s in batch for t in set_rows[s]
-                                   if not covered[t])
+                # the engine's crossover: a small instance's residuals are
+                # read from Python
+                max_live = (int(state.residual.max(initial=0))
+                            if instance.num_sets >= _VECTOR_MIN else max(residual, default=0))
+                if len(batch) == 1:
+                    # a set's residual counts its uncovered elements
+                    multiplicities = (1,) * batch_sizes[0]
+                else:
+                    # coverage has not moved since the batch was read, so
+                    # this counts each newly covered element once per batch
+                    # set that covers it
+                    multiplicities = tuple(Counter(
+                        [t for s in batch for t in set_rows[s] if not covered[t]]).values())
                 batch_log.append(BatchRecord(
                     level=j, step=i, set_ids=tuple(batch),
                     min_committed_size=min(batch_sizes), max_live_size=max_live,
-                    cover_multiplicities=tuple(covering.values())))
+                    cover_multiplicities=multiplicities))
             state.commit(batch, sum(batch_sizes))
         if dropped:
             file_by_level(np.array(dropped), np.array(dropped_estimates), j - 1)
+    counters.steps_executed += steps
+    counters.set_touches += visits + before
+    counters.edge_touches += before
+    counters.rebucket_events += rebucketed
     return state.cover(), counters
 
 

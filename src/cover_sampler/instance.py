@@ -22,9 +22,11 @@ paths of the solvers, the serializers and the sparsification counts read.
 Each set-cover side has one tuple-row reader, a `RowCache`, which cuts a row
 from the arrays on its first read and keeps it; the solvers, the verifier,
 the phase simulator and the exact oracles all read it, so a row is cut at
-most once.  A hypergraph's ``edges`` is a whole view, cut with one
-``tolist()`` on first read and cached; only matching's small path reads it.
-Every array indexed by vertex is sized by its cached ``vertex_index``.
+most once.  The exact oracles and greedy, which read a whole side, cut it
+with `RowCache.cut_all` in one pass.  A hypergraph's ``edges`` is a whole
+view, cut with one ``tolist()`` on first read and cached; only matching's
+small path reads it.  Every array indexed by vertex is sized by its cached
+``vertex_index``.
 """
 
 from __future__ import annotations
@@ -206,6 +208,19 @@ class RowCache(dict):
     def __missing__(self, i) -> tuple[int, ...]:
         row = self[i] = tuple(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
         return row
+
+    def cut_all(self) -> list[tuple[int, ...]]:
+        """Every row, in id order, for a reader of the whole side.  Rows
+        not yet held are cut from one ``tolist()`` of each array rather than
+        one miss per row, and kept; a row already held stays the same
+        tuple."""
+        n = len(self.indptr) - 1
+        if len(self) < n:
+            flat, bounds = self.indices.tolist(), self.indptr.tolist()
+            for i, a, b in zip(range(n), bounds, bounds[1:]):
+                if i not in self:
+                    self[i] = tuple(flat[a:b])
+        return [self[i] for i in range(n)]
 
 
 def _clamp(value: int) -> int:

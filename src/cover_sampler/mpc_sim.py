@@ -21,8 +21,8 @@ import numpy as np
 from .cover import Cover, CostCounters, _gather, _level, _SweepState
 from .errors import InvalidConfig
 from .instance import Hypergraph, SetCoverInstance
-from .schedule import (compute_b, probabilities, schedule_for_frequency,
-                       schedule_for_max_size, step_groups)
+from .schedule import (compute_b, plateau_probabilities, probabilities,
+                       schedule_for_frequency, schedule_for_max_size, step_groups)
 from .util import derive_rng, meets_threshold
 
 
@@ -259,7 +259,7 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
     if instance.num_elements == 0:
         return Cover(()), report
     sched = schedule_for_max_size(instance.delta, eps)
-    p = probabilities(sched).tolist()
+    plateaus, b = plateau_probabilities(sched), sched.b
     groups = list(step_groups(sched, rng, instance.num_elements))
     plan = plan_phases(instance.delta, max(instance.freq, 1), eps,
                        instance.num_sets + instance.num_elements)
@@ -283,8 +283,8 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
         relevant = nonisolated = max_ball = 0
         if g > first:
             # a phase that drew no step makes no numpy call
-            phase_groups = [group for _, group in groups[first:g]]
-            drawn = np.concatenate(phase_groups)
+            phase_groups = groups[first:g]
+            drawn = np.concatenate([group for _, group in phase_groups])
             elements = drawn[~state.covered[drawn]]
             relevant = elements.size
             if relevant:
@@ -297,15 +297,15 @@ def simulate_mpc_f_approx(instance: SetCoverInstance, eps: float,
                 max_ball = _max_ball_size(
                     relevant + nonisolated, np.repeat(np.arange(relevant), rows),
                     relevant + set_node, phase.length)
-            for group in phase_groups:
-                state.sweep_step(group)
+            state.sweep(phase_groups)
         if len(state.chosen) != residual_scanned_at:
             residual_scanned_at = len(state.chosen)
             residual_after = int(state.residual.max(initial=0))
         rounds += phase.rounds
         report.phases.append(PhaseRecord(
             index=idx, case_tag=phase.case_tag, start_step=i_hi, end_step=i_lo,
-            length=phase.length, p_start=p[i_hi], p_end=p[i_lo],
+            length=phase.length, p_start=plateaus[-(-i_hi // b)],
+            p_end=plateaus[-(-i_lo // b)],
             live_elements=live_elements, relevant_elements=relevant,
             nonisolated_sets=nonisolated, max_ball=max_ball,
             residual_degree_after=residual_after, cumulative_rounds=rounds))

@@ -57,8 +57,8 @@ def exact_min_cover(instance: SetCoverInstance) -> int:
         raise TooLarge(f"{instance.num_sets} sets exceeds the exact limit {EXACT_COVER_LIMIT}")
     if instance.num_elements == 0:
         return 0
-    masks = _bitmasks(instance.set_rows[s] for s in range(instance.num_sets))
-    element_sets = [instance.element_rows[t] for t in range(instance.num_elements)]
+    masks = _bitmasks(instance.set_rows.cut_all())
+    element_sets = instance.element_rows.cut_all()
     # holders[t]: the sets holding t, as a bitmask of set ids
     holders = _bitmasks(element_sets)
     # reach[t]: every element sharing a set with t, t included
@@ -130,7 +130,8 @@ def exact_max_matching(hg: Hypergraph) -> int:
 def greedy_cover(instance: SetCoverInstance) -> Cover:
     """Classic greedy: repeatedly take the set covering the most uncovered
     elements, lowest id on ties."""
-    set_rows, element_rows = instance.set_rows, instance.element_rows
+    # every element is covered once, so every element row is read
+    set_rows, element_rows = instance.set_rows, instance.element_rows.cut_all()
     residual = np.diff(instance.set_csr[0]).tolist()
     covered = [False] * instance.num_elements
     remaining = instance.num_elements
@@ -230,7 +231,7 @@ def exhaustive_min_cover(instance: SetCoverInstance) -> int:
         raise TooLarge(f"{instance.num_sets} sets exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
     if instance.num_elements == 0:
         return 0
-    masks = _bitmasks(instance.set_rows[s] for s in range(instance.num_sets))
+    masks = _bitmasks(instance.set_rows.cut_all())
     full = (1 << instance.num_elements) - 1
     for size in range(0, instance.num_sets + 1):
         for combo in itertools.combinations(range(instance.num_sets), size):

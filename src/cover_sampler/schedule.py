@@ -9,7 +9,7 @@ are indexed k, k-1, ..., 0 (decreasing).  Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,18 +59,37 @@ def make_schedule(eps: float, k: int) -> Schedule:
 
 
 def probability(i: int, sched: Schedule) -> float:
-    """Sampling probability at step i: (1+eps)^(-ceil(i/b)).  p(0) == 1."""
+    """Sampling probability at step i: (1+eps)^(-ceil(i/b)).  p(0) == 1.
+
+    Python's ``**``, which `run_ssp` and the near-miss adversary's size rule
+    read.  It can differ from `plateau_probabilities` and `probabilities`
+    (numpy's power) in the last bit; the solvers, the phase simulator, the
+    stopping laws and `check_step_lemmas` read those."""
     if not (0 <= i <= sched.k):
         raise IndexError(f"step {i} outside [0, {sched.k}]")
     level = -((-i) // sched.b)
     return (1.0 + sched.eps) ** (-level)
 
 
+@lru_cache(maxsize=256)
+def _plateaus_cached(eps: float, top: int) -> tuple[float, ...]:
+    return tuple(((1.0 + eps) ** (-np.arange(top + 1).astype(float))).tolist())
+
+
+def plateau_probabilities(sched: Schedule) -> tuple[float, ...]:
+    """The probability on each plateau L = 0..ceil(k/b) by numpy's power,
+    so that p(i) is entry ceil(i/b) (cached): ceil(k/b) + 1 values rather
+    than k + 1.  The solvers and the phase simulator read it; see
+    `probability` for the callers of Python's ``**``."""
+    return _plateaus_cached(sched.eps, -(-sched.k // sched.b))
+
+
 def probabilities(sched: Schedule) -> np.ndarray:
-    """Vector of p(i) for i = 0..k."""
-    i = np.arange(sched.k + 1)
-    levels = (i + sched.b - 1) // sched.b
-    return (1.0 + sched.eps) ** (-levels.astype(float))
+    """Vector of p(i) for i = 0..k: `plateau_probabilities` spread over the
+    steps, so its readers (the phase simulator, the stopping laws and
+    `check_step_lemmas`) and the solvers read the same doubles."""
+    levels = (np.arange(sched.k + 1) + sched.b - 1) // sched.b
+    return np.asarray(plateau_probabilities(sched))[levels]
 
 
 def schedule_length_outer(delta: int, eps: float) -> int:
@@ -89,7 +108,10 @@ def schedule_length_outer(delta: int, eps: float) -> int:
     return b * guarded_ceil(math.log(ratio) / math.log1p(eps))
 
 
+@lru_cache(maxsize=256)
 def schedule_for_max_size(delta: int, eps: float) -> Schedule:
+    """The schedule of length `schedule_length_outer` (cached: a solve at a
+    size and eps seen before builds nothing)."""
     return make_schedule(eps, schedule_length_outer(delta, eps))
 
 
@@ -207,17 +229,20 @@ def step_groups(sched: Schedule, rng: np.random.Generator, count: int,
     by it: ``(step, ids in the given order)`` for each drawn step, highest
     step first.
 
-    Fewer than ``_GROUP_SORT_MIN`` draws are grouped in a dict, into that
-    list of pairs; more are ordered by one stable argsort on k - step (a
-    ``uint16`` key, which numpy radix-sorts, when k < 65536) into a
-    `StepPartition`, whose groups are array slices.  Both give the same
-    groups from the same draws, so a caller that only iterates takes
-    either."""
+    Fewer than ``_GROUP_SORT_MIN`` draws are grouped in one Python pass
+    over the drawn steps, into that list of pairs; more are ordered by one
+    stable argsort on k - step (a ``uint16`` key, which numpy radix-sorts,
+    when k < 65536) into a `StepPartition`, whose groups are array slices.
+    Both give the same groups from the same draws, so a caller that only
+    iterates takes either."""
     draws = sample_alias(alias_for_schedule(sched), rng, size=count)
     if count < _GROUP_SORT_MIN:
-        groups: dict[int, list[int]] = defaultdict(list)
+        groups: dict[int, list[int]] = {}
         for t, step in zip(range(count) if ids is None else ids, draws.tolist()):
-            groups[step].append(t)
+            if step in groups:
+                groups[step].append(t)
+            else:
+                groups[step] = [t]
         return sorted(groups.items(), reverse=True)
     key = sched.k - draws
     order = np.argsort(key.astype(np.uint16) if sched.k < 2 ** 16 else key, kind="stable")

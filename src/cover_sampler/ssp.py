@@ -393,22 +393,25 @@ def check_step_lemmas(sched: Schedule, sizes_desc: Sequence[int]) -> StepLemmaRe
     p = probabilities(sched)
     expct = p * sizes
     tol = 1e-12
+    eps, b = sched.eps, sched.b
     violations: list[tuple[str, int, float, float]] = []
-    for j in range(k - sched.b + 1, k + 1):
-        if expct[j] > sched.eps * (1 + tol) + tol:
-            violations.append(("low-initial", j, float(expct[j]), sched.eps))
-    bound_factor = 1.0 + sched.eps
-    for i in range(0, k - sched.b + 1):
-        rhs = bound_factor * expct[i + sched.b]
-        if expct[i] > rhs * (1 + tol) + tol:
-            violations.append(("slow-increase", i, float(expct[i]), float(rhs)))
-    for i in range(k + 1):
-        n_i = int(sizes[i])
-        if n_i < 1:
+    # (a) and (b) are plain comparisons, made on whole arrays with the same
+    # doubles as one step at a time
+    first = np.arange(k - b + 1, k + 1)
+    for j in first[expct[first] > eps * (1 + tol) + tol].tolist():
+        violations.append(("low-initial", j, float(expct[j]), eps))
+    rhs = (1.0 + eps) * expct[b:]
+    for i in np.flatnonzero(expct[:k - b + 1] > rhs * (1 + tol) + tol).tolist():
+        violations.append(("slow-increase", i, float(expct[i]), float(rhs[i])))
+    # (c) takes math.expm1 and math.log1p per step, whose numpy forms can
+    # differ in the last bit, over Python floats.  A p that underflowed to
+    # 0 expects nothing and draws nothing, a 0/0 that fails no test
+    for i, (n_i, p_i, e_i) in enumerate(zip(sizes.tolist(), p.tolist(), expct.tolist())):
+        if n_i < 1 or p_i == 0.0:
             continue
-        nonempty = -math.expm1(n_i * math.log1p(-p[i])) if p[i] < 1.0 else 1.0
-        cond_mean = expct[i] / nonempty
-        rhs = 1.0 + expct[i]
-        if cond_mean > rhs * (1 + tol) + tol:
-            violations.append(("conditional-mean", i, float(cond_mean), float(rhs)))
+        nonempty = -math.expm1(n_i * math.log1p(-p_i)) if p_i < 1.0 else 1.0
+        cond_mean = e_i / nonempty
+        rhs_c = 1.0 + e_i
+        if cond_mean > rhs_c * (1 + tol) + tol:
+            violations.append(("conditional-mean", i, cond_mean, rhs_c))
     return StepLemmaReport(ok=not violations, violations=tuple(violations))

@@ -276,3 +276,16 @@ def test_from_edges_consistency():
     for t, adj in enumerate(element_rows):
         for s in adj:
             assert t in set_rows[s]
+
+
+def test_cut_all_cuts_a_whole_side_and_keeps_held_rows():
+    # sets 2 and 5 are empty; row 4 of each side is cut before the rest
+    edges = [(0, 0), (1, 1), (1, 2), (3, 3), (4, 4), (6, 5), (0, 5), (6, 1), (4, 0)]
+    inst = SetCoverInstance.from_edges(7, 6, edges)
+    for cache, csr in ((inst.set_rows, inst.set_csr), (inst.element_rows, inst.element_csr)):
+        held = cache[4]
+        rows = cache.cut_all()
+        assert rows == csr_rows(csr) and all(type(row) is tuple for row in rows)
+        assert sorted(cache) == list(range(len(rows)))
+        assert all(cache[i] is row for i, row in enumerate(rows))
+        assert rows[4] is held and cache.cut_all() == rows

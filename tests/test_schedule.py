@@ -2,10 +2,11 @@
 sampler's distributional correctness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from _reference import ref_bucket_distribution
+from _reference import ref_bucket_distribution, ref_buckets
 from scipy import stats
 
 from cover_sampler import (InvalidConfig, InvalidEpsilon, bucket_distribution, build_alias,
@@ -13,7 +14,8 @@ from cover_sampler import (InvalidConfig, InvalidEpsilon, bucket_distribution, b
                            sample_alias, schedule_for_frequency,
                            schedule_for_max_size, schedule_length_outer)
 from cover_sampler import schedule
-from cover_sampler.schedule import MAX_STEPS, alias_for_schedule, step_groups
+from cover_sampler.schedule import (MAX_STEPS, alias_for_schedule, plateau_probabilities,
+                                    step_groups)
 from cover_sampler.util import derive_rng
 
 GRID_EPS = (0.05, 0.1, 0.25, 0.5)
@@ -237,3 +239,123 @@ def test_max_steps_admits_eps_1e_3_at_any_practical_size(eps, accepted, refused)
     assert schedule_for_frequency(accepted, eps).k <= MAX_STEPS
     with pytest.raises(InvalidConfig, match="MAX_STEPS"):
         schedule_for_max_size(refused, eps)
+
+
+def ref_groups(table, rng, count, ids=None):
+    """`step_groups`' small form from `sample_alias` and `ref_buckets`."""
+    buckets = ref_buckets(sample_alias(table, rng, size=count))
+    label = list(range(count)) if ids is None else ids
+    return [(i, [label[t] for t in buckets[i]]) for i in sorted(buckets, reverse=True)]
+
+
+# k = 88 sits below 2^16 and k = 82218 above it
+SMALL_PATH_SCHEDULES = [schedule_for_max_size(32, 0.25), schedule_for_max_size(1000, 0.01)]
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM])
+@pytest.mark.parametrize("sched", SMALL_PATH_SCHEDULES, ids=lambda s: f"k{s.k}")
+@pytest.mark.parametrize("count", [0, 1, 2, 37, schedule._GROUP_SORT_MIN - 1])
+def test_step_groups_small_path_matches_sample_alias(bitgen, sched, count):
+    # the same groups in the same order, with and without ids, from the same
+    # two rng calls: the streams end at the same point
+    table = alias_for_schedule(sched)
+    ids = [3 * t + 1 for t in range(count)][::-1]
+    for given in (None, ids):
+        rng, ref_rng = (np.random.Generator(bitgen(5 + count)) for _ in range(2))
+        got = step_groups(sched, rng, count, given)
+        assert isinstance(got, list)
+        assert got == ref_groups(table, ref_rng, count, given)
+        assert rng.random() == ref_rng.random()
+
+
+class BoundaryDraws:
+    """Stands in for a generator whose every uniform equals the threshold
+    of the slot drawn with it, so each pick sits on the boundary of the
+    alias test: ``u < threshold`` keeps the alias."""
+
+    def __init__(self, table):
+        self.thresholds = table.thresholds
+        self.slots = None
+
+    def integers(self, low, high, size):
+        self.slots = np.arange(size) % high
+        return self.slots
+
+    def random(self, size):
+        return self.thresholds[self.slots]
+
+
+@pytest.mark.parametrize("sched", SMALL_PATH_SCHEDULES, ids=lambda s: f"k{s.k}")
+def test_step_groups_pick_at_the_threshold_takes_the_alias(sched):
+    table = alias_for_schedule(sched)
+    count = min(len(table), schedule._GROUP_SORT_MIN - 1)
+    moved = table.aliases[:count] != np.arange(count)
+    assert moved.any()
+    got = step_groups(sched, BoundaryDraws(table), count)
+    assert got == ref_groups(table, BoundaryDraws(table), count)
+    assert {i for i, _ in got} == set(table.aliases[:count].tolist())
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.1, 0.05, 0.01, 0.004])
+def test_plateau_table_has_one_probability_per_plateau(eps):
+    scheds = [schedule_for_max_size(delta, eps) for delta in (1, 2, 7, 54, 1000, 2 ** 16)]
+    # tops cut short of a whole plateau, and the single step
+    scheds += [make_schedule(eps, k) for k in (0, 1, 2 ** 16 + 3)]
+    for sched in scheds:
+        plateaus = plateau_probabilities(sched)
+        assert len(plateaus) == -(-sched.k // sched.b) + 1
+        assert all(type(p) is float for p in plateaus) and plateaus[0] == 1.0
+        assert all(a >= b for a, b in zip(plateaus, plateaus[1:]))
+        assert plateau_probabilities(sched) is plateaus
+        # p(i) is entry ceil(i/b): the first and last step of every plateau
+        vec = probabilities(sched)
+        ends = sorted({min(i, sched.k) for level in range(len(plateaus))
+                       for i in (max(level * sched.b - sched.b + 1, 0), level * sched.b)})
+        assert [vec[i] for i in ends] == [plateaus[-(-i // sched.b)] for i in ends]
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.1, 0.05, 0.01])
+def test_python_and_numpy_probabilities_agree_within_one_ulp(eps):
+    # `probability` (Python's **) and `probabilities` (numpy's power) are
+    # read by different callers; they may differ in the last bit, no more
+    for delta in (3, 54, 1000):
+        sched = schedule_for_max_size(delta, eps)
+        vec = probabilities(sched)
+        for level in range(-(-sched.k // sched.b) + 1):
+            i = min(level * sched.b, sched.k)
+            assert abs(probability(i, sched) - vec[i]) <= math.ulp(vec[i])
+
+
+def test_one_schedules_tables_hold_no_per_step_objects():
+    # k >= 2^20.  A per-step list of floats would take 32 B a step; the
+    # alias table is two arrays, 16 B a step, the plateau table one float a
+    # plateau, and a small draw holds its own picks only
+    try:
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        sched = schedule_for_max_size(10 ** 64, 0.01)
+        plateau_probabilities(sched)
+        grown = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        steps = sched.k + 1
+        assert steps > 2 ** 20
+        # built untraced: tracing its build's loops would take seconds
+        table = alias_for_schedule(sched)
+        assert table.thresholds.nbytes + table.aliases.nbytes == 16 * steps
+        tracemalloc.start()
+        held = tracemalloc.get_traced_memory()[0]
+        step_groups(sched, derive_rng(1), 5)
+        draw_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+        schedule._alias_cached.cache_clear()
+        schedule._plateaus_cached.cache_clear()
+    assert 16 * steps + grown < 32 * steps
+    assert draw_peak < 64 * 1024
+
+
+def test_cached_schedules_are_the_computed_ones():
+    for delta, eps in ((1, 0.5), (54, 0.1), (1000, 0.01)):
+        sched = schedule_for_max_size(delta, eps)
+        assert sched == make_schedule(eps, schedule_length_outer(delta, eps))
+        assert schedule_for_frequency(delta, eps) is sched

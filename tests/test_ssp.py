@@ -14,8 +14,9 @@ from cover_sampler import (AdaptiveKillOnNearMiss, Adversary,
                            check_step_lemmas, estimate_conditional_multiplicity,
                            estimate_expected_rz, make_schedule, minimum_steps,
                            run_ssp)
-from cover_sampler.schedule import probabilities
-from cover_sampler.ssp import _batch_zr, _resolve_schedule
+from cover_sampler import ssp
+from cover_sampler.schedule import Schedule, probabilities
+from cover_sampler.ssp import StepLemmaReport, _batch_zr, _resolve_schedule
 from cover_sampler.util import derive_rng, mean_ci95, proportion_ci95
 
 # Adversaries with an independent per-item deletion rate, for the exact
@@ -315,6 +316,79 @@ def test_check_step_lemmas_decreasing_sequence():
     sizes = [max(1, n - idx // 4) for idx in range(sched.k + 1)]
     report = check_step_lemmas(sched, sizes)
     assert report.ok
+
+
+def step_lemmas_per_step(sched, sizes_desc, p):
+    """The step-at-a-time loop `check_step_lemmas` replaced, reading the
+    probabilities ``p``."""
+    sizes = np.asarray(list(sizes_desc), dtype=np.int64)[::-1]
+    k = sched.k
+    expct = p * sizes
+    tol = 1e-12
+    violations = []
+    for j in range(k - sched.b + 1, k + 1):
+        if expct[j] > sched.eps * (1 + tol) + tol:
+            violations.append(("low-initial", j, float(expct[j]), sched.eps))
+    bound_factor = 1.0 + sched.eps
+    for i in range(0, k - sched.b + 1):
+        rhs = bound_factor * expct[i + sched.b]
+        if expct[i] > rhs * (1 + tol) + tol:
+            violations.append(("slow-increase", i, float(expct[i]), float(rhs)))
+    for i in range(k + 1):
+        n_i = int(sizes[i])
+        if n_i < 1:
+            continue
+        nonempty = -math.expm1(n_i * math.log1p(-p[i])) if p[i] < 1.0 else 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond_mean = expct[i] / nonempty
+        rhs = 1.0 + expct[i]
+        if cond_mean > rhs * (1 + tol) + tol:
+            violations.append(("conditional-mean", i, float(cond_mean), float(rhs)))
+    return StepLemmaReport(ok=not violations, violations=tuple(violations))
+
+
+def shrinking(n, k, seed):
+    """A non-increasing trajectory of k + 1 sizes from n, in simulation
+    order, that reaches 0 on some runs."""
+    drops = derive_rng(seed).integers(0, 3, size=k) * (derive_rng(seed, 1).random(k) < 0.05)
+    return [n] + np.maximum(n - np.cumsum(drops), 0).tolist()
+
+
+def test_check_step_lemmas_matches_the_step_loop_on_real_schedules():
+    # no violations, p reaching 1 at step 0 and (eps 0.5, k = 6000)
+    # underflowing to 0 at the top steps
+    cases = [(make_schedule(eps, minimum_steps(n, eps)), n)
+             for eps in (0.5, 0.25, 0.1, 0.05) for n in (1, 10, 100, 1000)]
+    cases.append((make_schedule(0.5, 6000), 10))
+    for seed, (sched, n) in enumerate(cases):
+        p = probabilities(sched)
+        for sizes in ([n] * (sched.k + 1), shrinking(n, sched.k, seed)):
+            report = check_step_lemmas(sched, sizes)
+            assert report == step_lemmas_per_step(sched, sizes, p)
+            assert report.ok
+
+
+def test_check_step_lemmas_reports_each_violation_as_the_step_loop(monkeypatch):
+    n, eps = 50, 0.25
+    k = minimum_steps(n, eps)
+    sizes = shrinking(n, k, 3)
+    # (a): plateaus ten times too wide leave the first steps' p too high
+    wide = Schedule(eps=eps, b=10 * make_schedule(eps, k).b, k=k)
+    real = make_schedule(eps, k)
+    p = probabilities(real)
+    # (b): p jumps by 3x at some steps; (c): a negative p, which no
+    # schedule gives, breaks the conditional-mean bound
+    jumps = p.copy()
+    jumps[k // 3:k // 2] *= 3.0
+    negative = p.copy()
+    negative[k // 2:k // 2 + 5] = -0.5
+    for sched, probs, kind in ((wide, probabilities(wide), "low-initial"),
+                               (real, jumps, "slow-increase"),
+                               (real, negative, "conditional-mean")):
+        monkeypatch.setattr(ssp, "probabilities", lambda _, probs=probs: probs)
+        report = check_step_lemmas(sched, sizes)
+        assert report == step_lemmas_per_step(sched, sizes, probs)
+        assert not report.ok and kind in {v[0] for v in report.violations}
 
 
 def test_check_step_lemmas_validates_input():
